@@ -17,11 +17,8 @@
 #include <vector>
 
 #include "src/base/thread_annotations.h"
-#include "src/dev/devproto.h"
 #include "src/inet/netproto.h"
 #include "src/sim/wire.h"
-#include "src/task/qlock.h"
-#include "src/task/rendez.h"
 
 namespace plan9 {
 
@@ -31,30 +28,38 @@ class CycloneConv : public NetConv {
  public:
   CycloneConv(CycloneProto* proto, int index);
 
-  Status Ctl(const std::string& msg) override;
   Status WaitReady() override;
-  Result<int> Listen() override;
   std::string Local() override;
   std::string Remote() override;
   std::string StatusText() override;
-  void CloseUser() override;
 
  private:
   friend class CycloneProto;
-  class Module;
 
   static constexpr size_t kMaxOutstanding = 256 * 1024;
 
-  Status SendMessage(const Bytes& msg) P9_HOT_PATH MAY_BLOCK;  // credit sleep
+  // Conversation-core hooks.
+  QLock& conv_lock() override RETURN_CAPABILITY(lock_) { return lock_; }
+  // "connect N" binds the conversation to fiber link N.
+  Status Connect(const std::string& addr) override;
+  void CloseLocked() override REQUIRES(lock_) {
+    connected_ = false;
+    HangupLocked();
+  }
+  void DropLocked() override REQUIRES(lock_) {
+    connected_ = false;
+    wire_ = nullptr;
+  }
+  void Detach() override;  // unbind the fiber
+  void RecycleLocked() override REQUIRES(lock_);
+  Status SendMessage(Bytes msg) override P9_HOT_PATH MAY_BLOCK;  // credit sleep
+
   void WireInput(Bytes frame) P9_HOT_PATH;
-  void Recycle();
 
   CycloneProto* proto_;
   // Ordered after cyclone.proto (connect holds both).
   QLock lock_{"cyclone.conv"};
-  Rendez credit_;
   bool connected_ GUARDED_BY(lock_) = false;
-  bool in_use_ GUARDED_BY(lock_) = false;
   int link_ GUARDED_BY(lock_) = -1;
   // Cached at connect: avoids the proto lock on the data path.
   Wire* wire_ GUARDED_BY(lock_) = nullptr;
@@ -62,21 +67,16 @@ class CycloneConv : public NetConv {
   size_t outstanding_ GUARDED_BY(lock_) = 0;
 };
 
-class CycloneProto : public NetProto, public ProtoFiles {
+class CycloneProto : public NetProto {
  public:
-  explicit CycloneProto() = default;
-
   // Register one end of a fiber as link number `n` (sequential).  Returns
   // the link number.  Wire not owned.
   int AddLink(Wire* wire, Wire::End end);
 
   std::string name() override { return "cyclone"; }
-  Result<NetConv*> Clone() override;
-  NetConv* Conv(size_t index) override;
-  size_t ConvCount() override;
 
-  // ProtoFiles: no listen (point-to-point), plus a stats file reporting the
-  // bound fiber's media and fault counters in each direction.
+  // No listen (point-to-point), plus a stats file reporting the bound
+  // fiber's media and fault counters in each direction.
   std::vector<std::string> ConvFileNames() override {
     return {"ctl", "data", "local", "remote", "status", "stats"};
   }
@@ -97,9 +97,13 @@ class CycloneProto : public NetProto, public ProtoFiles {
     CycloneConv* bound = nullptr;  // at most one conversation per fiber
   };
 
+  QLock& proto_lock() override RETURN_CAPABILITY(lock_) { return lock_; }
+  std::unique_ptr<NetConv> NewConv(int index) override {
+    return std::make_unique<CycloneConv>(this, index);
+  }
+
   QLock lock_{"cyclone.proto"};
   std::vector<Link> links_ GUARDED_BY(lock_);
-  std::vector<std::unique_ptr<CycloneConv>> convs_ GUARDED_BY(lock_);
   bool unplugged_ GUARDED_BY(lock_) = false;
 };
 

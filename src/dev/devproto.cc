@@ -11,16 +11,6 @@
 namespace plan9 {
 namespace {
 
-// Stamp the caller's active trace context onto the conversation when a ctl
-// write sets up the endpoint.  The dial library's "dial.connect" span is the
-// one live at this moment, so the conv's captured parent is exactly the hop
-// that created it (DESIGN.md §12).
-void MaybeCaptureTrace(NetConv* conv, const std::string& msg) {
-  if (HasPrefix(msg, "connect") || HasPrefix(msg, "announce")) {
-    conv->CaptureTrace(obs::Tracer::Current());
-  }
-}
-
 // Qid layout: [proto+1 : bits 20..27][conv+1 : bits 8..19][file kind : bits 0..7]
 // Root-level observability files use the low qids 2..6 (proto qids start at
 // 1<<20, so the space is free).
@@ -120,9 +110,9 @@ class ObsFileVnode : public Vnode {
 
 class ConvFileVnode : public Vnode {
  public:
-  ConvFileVnode(const NetDirVfs::Entry& entry, size_t proto_idx, NetConv* conv,
+  ConvFileVnode(NetProto* proto, size_t proto_idx, NetConv* conv,
                 size_t file_kind, std::string file_name)
-      : entry_(entry),
+      : proto_(proto),
         proto_idx_(proto_idx),
         conv_(conv),
         file_kind_(file_kind),
@@ -158,7 +148,7 @@ class ConvFileVnode : public Vnode {
       if (!idx.ok()) {
         return idx.error();
       }
-      NetConv* accepted = entry_.proto->Conv(static_cast<size_t>(*idx));
+      NetConv* accepted = proto_->Conv(static_cast<size_t>(*idx));
       if (accepted == nullptr) {
         return Error("listen lost the call");
       }
@@ -191,7 +181,7 @@ class ConvFileVnode : public Vnode {
       buf.resize(*n);
       return buf;
     }
-    auto text = entry_.files->InfoText(conv_, file_name_);
+    auto text = proto_->InfoText(conv_, file_name_);
     if (!text.ok()) {
       return text.error();
     }
@@ -201,9 +191,7 @@ class ConvFileVnode : public Vnode {
 
   Result<uint32_t> Write(uint64_t offset, const Bytes& data) override {
     if (file_name_ == "ctl") {
-      const std::string msg = ToString(data);
-      MaybeCaptureTrace(conv_, msg);
-      P9_RETURN_IF_ERROR(conv_->Ctl(msg));
+      P9_RETURN_IF_ERROR(conv_->Ctl(ToString(data)));
       return static_cast<uint32_t>(data.size());
     }
     if (file_name_ == "data") {
@@ -228,7 +216,7 @@ class ConvFileVnode : public Vnode {
     holds_ref_ = false;
   }
 
-  NetDirVfs::Entry entry_;
+  NetProto* proto_;
   size_t proto_idx_;
   NetConv* conv_;
   size_t file_kind_;
@@ -240,8 +228,8 @@ class ConvFileVnode : public Vnode {
 // as that conversation's ctl file.
 class CloneVnode : public Vnode {
  public:
-  CloneVnode(const NetDirVfs::Entry& entry, size_t proto_idx)
-      : entry_(entry), proto_idx_(proto_idx) {}
+  CloneVnode(NetProto* proto, size_t proto_idx)
+      : proto_(proto), proto_idx_(proto_idx) {}
 
   ~CloneVnode() override { ReleaseRef(); }
 
@@ -266,7 +254,7 @@ class CloneVnode : public Vnode {
   }
 
   Status Open(uint8_t mode, const std::string& user) override {
-    auto conv = entry_.proto->Clone();
+    auto conv = proto_->Clone();
     if (!conv.ok()) {
       return conv.error();
     }
@@ -288,9 +276,7 @@ class CloneVnode : public Vnode {
     if (conv_ == nullptr) {
       return Error("clone not open");
     }
-    const std::string msg = ToString(data);
-    MaybeCaptureTrace(conv_, msg);
-    P9_RETURN_IF_ERROR(conv_->Ctl(msg));
+    P9_RETURN_IF_ERROR(conv_->Ctl(ToString(data)));
     return static_cast<uint32_t>(data.size());
   }
 
@@ -304,16 +290,16 @@ class CloneVnode : public Vnode {
     conv_ = nullptr;
   }
 
-  NetDirVfs::Entry entry_;
+  NetProto* proto_;
   size_t proto_idx_;
   NetConv* conv_ = nullptr;
 };
 
 class ConvDirVnode : public Vnode {
  public:
-  ConvDirVnode(const NetDirVfs::Entry& entry, size_t proto_idx, NetConv* conv,
+  ConvDirVnode(NetProto* proto, size_t proto_idx, NetConv* conv,
                std::shared_ptr<Vnode> parent)
-      : entry_(entry), proto_idx_(proto_idx), conv_(conv), parent_(std::move(parent)) {}
+      : proto_(proto), proto_idx_(proto_idx), conv_(conv), parent_(std::move(parent)) {}
 
   Qid qid() override {
     return Qid{QidConv(proto_idx_, static_cast<size_t>(conv_->index())) | kQidDirBit, 0};
@@ -333,16 +319,16 @@ class ConvDirVnode : public Vnode {
   Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
     if (name == ".") {
       return std::shared_ptr<Vnode>(
-          std::make_shared<ConvDirVnode>(entry_, proto_idx_, conv_, parent_));
+          std::make_shared<ConvDirVnode>(proto_, proto_idx_, conv_, parent_));
     }
     if (name == "..") {
       return parent_;
     }
-    auto names = entry_.files->ConvFileNames();
+    auto names = proto_->ConvFileNames();
     for (size_t k = 0; k < names.size(); k++) {
       if (names[k] == name) {
         return std::shared_ptr<Vnode>(
-            std::make_shared<ConvFileVnode>(entry_, proto_idx_, conv_, k, name));
+            std::make_shared<ConvFileVnode>(proto_, proto_idx_, conv_, k, name));
       }
     }
     return Error(kErrNotExist);
@@ -350,7 +336,7 @@ class ConvDirVnode : public Vnode {
 
   Result<Bytes> Read(uint64_t offset, uint32_t count) override {
     std::vector<Dir> entries;
-    auto names = entry_.files->ConvFileNames();
+    auto names = proto_->ConvFileNames();
     for (size_t k = 0; k < names.size(); k++) {
       Dir d;
       d.name = names[k];
@@ -365,7 +351,7 @@ class ConvDirVnode : public Vnode {
   }
 
  private:
-  NetDirVfs::Entry entry_;
+  NetProto* proto_;
   size_t proto_idx_;
   NetConv* conv_;
   std::shared_ptr<Vnode> parent_;
@@ -374,15 +360,15 @@ class ConvDirVnode : public Vnode {
 class ProtoDirVnode : public Vnode,
                       public std::enable_shared_from_this<ProtoDirVnode> {
  public:
-  ProtoDirVnode(const NetDirVfs::Entry& entry, size_t proto_idx,
+  ProtoDirVnode(NetProto* proto, size_t proto_idx,
                 std::shared_ptr<Vnode> parent)
-      : entry_(entry), proto_idx_(proto_idx), parent_(std::move(parent)) {}
+      : proto_(proto), proto_idx_(proto_idx), parent_(std::move(parent)) {}
 
   Qid qid() override { return Qid{QidProto(proto_idx_) | kQidDirBit, 0}; }
 
   Result<Dir> Stat() override {
     Dir d;
-    d.name = entry_.proto->name();
+    d.name = proto_->name();
     d.qid = qid();
     d.mode = kDmDir | 0555;
     d.type = 'I';
@@ -398,14 +384,14 @@ class ProtoDirVnode : public Vnode,
                                 : std::shared_ptr<Vnode>(shared_from_this());
     }
     if (name == "clone") {
-      return std::shared_ptr<Vnode>(std::make_shared<CloneVnode>(entry_, proto_idx_));
+      return std::shared_ptr<Vnode>(std::make_shared<CloneVnode>(proto_, proto_idx_));
     }
     auto num = ParseU64(name);
     if (num.has_value()) {
-      NetConv* conv = entry_.proto->Conv(*num);
+      NetConv* conv = proto_->Conv(*num);
       if (conv != nullptr) {
         return std::shared_ptr<Vnode>(std::make_shared<ConvDirVnode>(
-            entry_, proto_idx_, conv, shared_from_this()));
+            proto_, proto_idx_, conv, shared_from_this()));
       }
     }
     return Error(kErrNotExist);
@@ -419,9 +405,9 @@ class ProtoDirVnode : public Vnode,
     clone.mode = 0666;
     clone.type = 'I';
     entries.push_back(std::move(clone));
-    size_t n = entry_.proto->ConvCount();
+    size_t n = proto_->ConvCount();
     for (size_t c = 0; c < n; c++) {
-      NetConv* conv = entry_.proto->Conv(c);
+      NetConv* conv = proto_->Conv(c);
       if (conv == nullptr) {
         continue;
       }
@@ -438,15 +424,15 @@ class ProtoDirVnode : public Vnode,
   }
 
  private:
-  NetDirVfs::Entry entry_;
+  NetProto* proto_;
   size_t proto_idx_;
   std::shared_ptr<Vnode> parent_;
 };
 
 class NetRootVnode : public Vnode, public std::enable_shared_from_this<NetRootVnode> {
  public:
-  explicit NetRootVnode(const std::vector<NetDirVfs::Entry>* entries)
-      : entries_(entries) {}
+  explicit NetRootVnode(const std::vector<NetProto*>* protos)
+      : protos_(protos) {}
 
   Qid qid() override { return Qid{QidRoot() | kQidDirBit, 0}; }
 
@@ -468,10 +454,10 @@ class NetRootVnode : public Vnode, public std::enable_shared_from_this<NetRootVn
         return std::shared_ptr<Vnode>(std::make_shared<ObsFileVnode>(k));
       }
     }
-    for (size_t p = 0; p < entries_->size(); p++) {
-      if ((*entries_)[p].proto->name() == name) {
+    for (size_t p = 0; p < protos_->size(); p++) {
+      if ((*protos_)[p]->name() == name) {
         return std::shared_ptr<Vnode>(std::make_shared<ProtoDirVnode>(
-            (*entries_)[p], p, shared_from_this()));
+            (*protos_)[p], p, shared_from_this()));
       }
     }
     return Error(kErrNotExist);
@@ -487,9 +473,9 @@ class NetRootVnode : public Vnode, public std::enable_shared_from_this<NetRootVn
       d.type = 'I';
       entries.push_back(std::move(d));
     }
-    for (size_t p = 0; p < entries_->size(); p++) {
+    for (size_t p = 0; p < protos_->size(); p++) {
       Dir d;
-      d.name = (*entries_)[p].proto->name();
+      d.name = (*protos_)[p]->name();
       d.qid = Qid{QidProto(p) | kQidDirBit, 0};
       d.mode = kDmDir | 0555;
       d.type = 'I';
@@ -499,35 +485,14 @@ class NetRootVnode : public Vnode, public std::enable_shared_from_this<NetRootVn
   }
 
  private:
-  const std::vector<NetDirVfs::Entry>* entries_;
+  const std::vector<NetProto*>* protos_;
 };
 
 }  // namespace
 
-Result<std::string> ProtoFiles::InfoText(NetConv* conv, const std::string& file) {
-  if (file == "local") {
-    return conv->Local();
-  }
-  if (file == "remote") {
-    return conv->Remote();
-  }
-  if (file == "status") {
-    return conv->StatusText();
-  }
-  return Error(kErrNotExist);
-}
-
-NetDirVfs::NetDirVfs() : default_files_(std::make_unique<ProtoFiles>()) {}
-
-NetDirVfs::~NetDirVfs() = default;
-
-void NetDirVfs::Add(NetProto* proto, ProtoFiles* files) {
-  entries_.push_back(Entry{proto, files != nullptr ? files : default_files_.get()});
-}
-
 Result<std::shared_ptr<Vnode>> NetDirVfs::Attach(const std::string& uname,
                                                  const std::string& aname) {
-  return std::shared_ptr<Vnode>(std::make_shared<NetRootVnode>(&entries_));
+  return std::shared_ptr<Vnode>(std::make_shared<NetRootVnode>(&protos_));
 }
 
 }  // namespace plan9

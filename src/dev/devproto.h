@@ -30,40 +30,16 @@
 
 namespace plan9 {
 
-// Extra per-protocol file surface beyond the NetConv basics.
-// Protocols may override the conversation file list (the ether driver has
-// ctl/data/stats/type instead of ctl/data/listen/local/remote/status) and
-// provide the text of info files.
-class ProtoFiles {
- public:
-  virtual ~ProtoFiles() = default;
-  virtual std::vector<std::string> ConvFileNames() {
-    return {"ctl", "data", "listen", "local", "remote", "status"};
-  }
-  // Contents of an info file (local/remote/status/stats/type...).
-  virtual Result<std::string> InfoText(NetConv* conv, const std::string& file);
-};
-
 class NetDirVfs : public Vfs {
  public:
-  struct Entry {
-    NetProto* proto;
-    ProtoFiles* files;  // nullptr -> default ProtoFiles
-  };
-
-  NetDirVfs();
-  ~NetDirVfs() override;
-
-  // Add a protocol directory (not owned).  files may be nullptr.
-  void Add(NetProto* proto, ProtoFiles* files = nullptr);
+  // Add a protocol directory (not owned).
+  void Add(NetProto* proto) { protos_.push_back(proto); }
 
   Result<std::shared_ptr<Vnode>> Attach(const std::string& uname,
                                         const std::string& aname) override;
 
  private:
-  friend class NetRootVnode;
-  std::vector<Entry> entries_;
-  std::unique_ptr<ProtoFiles> default_files_;
+  std::vector<NetProto*> protos_;
 };
 
 }  // namespace plan9

@@ -2,7 +2,6 @@
 
 #include "src/base/strings.h"
 #include "src/task/hotcheck.h"
-#include "src/task/timers.h"
 
 namespace plan9 {
 
@@ -19,90 +18,49 @@ void EtherConvMetrics::Reset() {
   drops.Reset();
 }
 
-// Stream device module: writes become transmissions.  The user supplies
-// [6-byte destination][payload]; the driver prepends the source address and
-// the connection's packet type.
-class EtherConv::Module : public StreamModule {
- public:
-  explicit Module(EtherConv* conv) : conv_(conv) {}
-  std::string_view name() const override { return "ether"; }
+EtherConv::EtherConv(EtherProto* proto, int index) : NetConv(proto, index), proto_(proto) {}
 
-  void DownPut(BlockPtr b) override P9_CONSUMES(b) P9_HOT_PATH {
-    if (b->type != BlockType::kData) {
-      DropBlock(std::move(b));
-      return;
-    }
-    pending_.insert(pending_.end(), b->payload(), b->payload() + b->size());
-    bool delim = b->delim;
-    RecycleBlock(std::move(b));
-    if (!delim) {
-      return;
-    }
-    Bytes frame;
-    frame.swap(pending_);
-    if (frame.size() < 6) {
-      return;  // no destination address
-    }
-    auto type = conv_->type();
-    if (!type.has_value()) {
-      return;  // not connected to a packet type
-    }
-    MacAddr dst;
-    std::copy_n(frame.begin(), 6, dst.begin());
-    Bytes payload(frame.begin() + 6, frame.end());
-    conv_->metrics_.frames_out.Inc();
-    (void)conv_->proto_->Transmit(
-        dst, *type < 0 ? uint16_t{0} : static_cast<uint16_t>(*type), std::move(payload));
-  }
-
- private:
-  EtherConv* conv_;
-  Bytes pending_;
-};
-
-EtherConv::EtherConv(EtherProto* proto, int index) : proto_(proto) {
-  index_ = index;
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
-}
-
-void EtherConv::Recycle() {
-  QLockGuard guard(lock_);
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
+void EtherConv::RecycleLocked() {
   type_.reset();
   promiscuous_ = false;
   metrics_.Reset();
-  in_use_ = true;
 }
 
-Status EtherConv::Ctl(const std::string& msg) {
-  auto words = Tokenize(msg);
-  if (words.empty()) {
+Status EtherConv::Connect(const std::string& addr) {
+  // "Writing the string connect 2048 to the ctl file sets the packet type
+  // to 2048...  The special packet type -1 selects all packets."
+  auto type = ParseI64(addr);
+  if (!type || *type < -1 || *type > 0xffff) {
+    return Error(kErrBadArg);
+  }
+  QLockGuard guard(lock_);
+  type_ = static_cast<int32_t>(*type);
+  return Status::Ok();
+}
+
+Status EtherConv::Verb(const std::vector<std::string>& words) {
+  if (words[0] != "promiscuous") {
     return Error(kErrBadCtl);
   }
-  if (words[0] == "connect" && words.size() >= 2) {
-    // "Writing the string connect 2048 to the ctl file sets the packet type
-    // to 2048...  The special packet type -1 selects all packets."
-    auto type = ParseI64(words[1]);
-    if (!type || *type < -1 || *type > 0xffff) {
-      return Error(kErrBadArg);
-    }
+  {
     QLockGuard guard(lock_);
-    type_ = static_cast<int32_t>(*type);
-    return Status::Ok();
+    promiscuous_ = true;
   }
-  if (words[0] == "promiscuous") {
-    {
-      QLockGuard guard(lock_);
-      promiscuous_ = true;
-    }
-    proto_->UpdatePromiscuity();
-    return Status::Ok();
+  proto_->UpdatePromiscuity();
+  return Status::Ok();
+}
+
+Status EtherConv::SendMessage(Bytes frame) {
+  auto type = this->type();
+  if (frame.size() < 6 || !type.has_value()) {
+    return Status::Ok();  // no destination address, or no packet type
   }
-  if (words[0] == "hangup") {
-    CloseUser();
-    return Status::Ok();
-  }
-  return Error(kErrBadCtl);
+  MacAddr dst;
+  std::copy_n(frame.begin(), 6, dst.begin());
+  frame.erase(frame.begin(), frame.begin() + 6);
+  metrics_.frames_out.Inc();
+  return proto_->Transmit(dst, *type < 0 ? uint16_t{0} : static_cast<uint16_t>(*type),
+                          std::move(frame));
 }
 
 Status EtherConv::WaitReady() {
@@ -125,16 +83,13 @@ std::string EtherConv::StatusText() {
                    static_cast<unsigned long long>(metrics_.frames_out.value()));
 }
 
-void EtherConv::CloseUser() {
-  {
-    QLockGuard guard(lock_);
-    type_.reset();
-    promiscuous_ = false;
-    in_use_ = false;
-  }
-  proto_->UpdatePromiscuity();
-  stream_->Hangup();
+void EtherConv::CloseLocked() {
+  type_.reset();
+  promiscuous_ = false;
+  HangupLocked();
 }
+
+void EtherConv::Detach() { proto_->UpdatePromiscuity(); }
 
 std::optional<int32_t> EtherConv::type() const {
   QLockGuard guard(lock_);
@@ -149,8 +104,8 @@ bool EtherConv::promiscuous() const {
 void EtherConv::Deliver(Bytes frame) {
   {
     QLockGuard guard(lock_);
-    if (!in_use_) {
-      return;
+    if (!type_.has_value()) {
+      return;  // closed since the demux matched it
     }
     // Bounded input queueing: NICs drop when software lags.
     if (stream_->head_queue().byte_count() > 512 * 1024) {
@@ -173,62 +128,14 @@ EtherProto::~EtherProto() {
 }
 
 void EtherProto::Unplug() {
-  bool detach = false;
-  std::vector<EtherConv*> convs;
   {
     QLockGuard guard(lock_);
-    detach = !unplugged_;
-    unplugged_ = true;
-    for (auto& c : convs_) {
-      convs.push_back(c.get());
+    if (std::exchange(unplugged_, true)) {
+      return;
     }
-  }
-  if (!detach) {
-    return;
   }
   segment_->Detach(station_);
-  for (EtherConv* c : convs) {
-    bool in_use;
-    {
-      QLockGuard cguard(c->lock_);
-      in_use = c->in_use_;
-    }
-    if (in_use) {
-      c->stream_->Hangup();
-    }
-  }
-  TimerWheel::Default().Drain();
-}
-
-Result<NetConv*> EtherProto::Clone() {
-  QLockGuard guard(lock_);
-  for (auto& c : convs_) {
-    bool reusable;
-    {
-      QLockGuard cguard(c->lock_);
-      reusable = !c->in_use_ && c->refs.load() == 0;
-    }
-    if (reusable) {
-      c->Recycle();
-      return static_cast<NetConv*>(c.get());
-    }
-  }
-  if (convs_.size() >= MaxConvs()) {
-    return Error(kErrNoConv);
-  }
-  convs_.push_back(std::make_unique<EtherConv>(this, static_cast<int>(convs_.size())));
-  convs_.back()->Recycle();
-  return static_cast<NetConv*>(convs_.back().get());
-}
-
-NetConv* EtherProto::Conv(size_t index) {
-  QLockGuard guard(lock_);
-  return index < convs_.size() ? convs_[index].get() : nullptr;
-}
-
-size_t EtherProto::ConvCount() {
-  QLockGuard guard(lock_);
-  return convs_.size();
+  Abort("");
 }
 
 Result<std::string> EtherProto::InfoText(NetConv* conv, const std::string& file) {
@@ -257,7 +164,7 @@ Result<std::string> EtherProto::InfoText(NetConv* conv, const std::string& file)
     out += ec->StatusText();
     return out;
   }
-  return ProtoFiles::InfoText(conv, file);
+  return NetProto::InfoText(conv, file);
 }
 
 Status EtherProto::Transmit(MacAddr dst, uint16_t type, Bytes payload) {
@@ -273,8 +180,11 @@ void EtherProto::UpdatePromiscuity() {
   bool any = false;
   {
     QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      if (c->promiscuous()) {
+    if (unplugged_) {
+      return;  // the station is off the cable
+    }
+    for (auto& n : convs_) {
+      if (static_cast<EtherConv*>(n.get())->promiscuous()) {
         any = true;
         break;
       }
@@ -291,7 +201,8 @@ void EtherProto::Input(const EtherFrame& frame) {
   std::vector<EtherConv*> matches;
   {
     QLockGuard guard(lock_);
-    for (auto& c : convs_) {
+    for (auto& n : convs_) {
+      EtherConv* c = static_cast<EtherConv*>(n.get());
       auto type = c->type();
       if (!type.has_value()) {
         continue;
@@ -299,7 +210,7 @@ void EtherProto::Input(const EtherFrame& frame) {
       bool match = *type == -1 || *type == static_cast<int32_t>(frame.type) ||
                    c->promiscuous();
       if (match) {
-        matches.push_back(c.get());
+        matches.push_back(c);
       }
     }
   }

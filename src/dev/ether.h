@@ -25,11 +25,9 @@
 #include <vector>
 
 #include "src/base/thread_annotations.h"
-#include "src/dev/devproto.h"
 #include "src/inet/netproto.h"
 #include "src/obs/metrics.h"
 #include "src/sim/ether_segment.h"
-#include "src/task/qlock.h"
 
 namespace plan9 {
 
@@ -50,47 +48,51 @@ class EtherConv : public NetConv {
  public:
   EtherConv(EtherProto* proto, int index);
 
-  Status Ctl(const std::string& msg) override;
   Status WaitReady() override;
-  Result<int> Listen() override { return Error("ether: no listen"); }
   std::string Local() override;
   std::string Remote() override { return "\n"; }
   std::string StatusText() override;
-  void CloseUser() override;
 
   std::optional<int32_t> type() const;
   bool promiscuous() const;
 
  private:
   friend class EtherProto;
-  class Module;
+
+  // Conversation-core hooks.
+  QLock& conv_lock() override RETURN_CAPABILITY(lock_) { return lock_; }
+  // "connect 2048" selects a packet type.
+  Status Connect(const std::string& addr) override;
+  // "promiscuous" hears the whole cable.
+  Status Verb(const std::vector<std::string>& words) override;
+  void CloseLocked() override REQUIRES(lock_);
+  void Detach() override;
+  void RecycleLocked() override REQUIRES(lock_);
+  // Writes become transmissions: the user supplies [6-byte
+  // destination][payload]; the driver prepends the source address and the
+  // connection's packet type.
+  Status SendMessage(Bytes frame) override P9_HOT_PATH MAY_BLOCK;
 
   void Deliver(Bytes frame) P9_HOT_PATH;
-  void Recycle();
 
   EtherProto* proto_;
   // Ordered after ether.proto (Clone/Input hold both).
   mutable QLock lock_{"ether.conv"};
   std::optional<int32_t> type_ GUARDED_BY(lock_);  // -1 = all packets
   bool promiscuous_ GUARDED_BY(lock_) = false;
-  bool in_use_ GUARDED_BY(lock_) = false;
   EtherConvMetrics metrics_;  // atomic counters; no lock needed
 };
 
-class EtherProto : public NetProto, public ProtoFiles {
+class EtherProto : public NetProto {
  public:
   // Attaches a station on `segment` with address `mac`.  `name` is the
   // directory name under /net (ether0).
   EtherProto(EtherSegment* segment, MacAddr mac, std::string name = "ether0");
   ~EtherProto() override;
 
-  // NetProto:
   std::string name() override { return name_; }
-  Result<NetConv*> Clone() override;
-  NetConv* Conv(size_t index) override;
-  size_t ConvCount() override;
 
-  // ProtoFiles: Figure 1's per-connection files.
+  // Figure 1's per-connection files.
   std::vector<std::string> ConvFileNames() override {
     return {"ctl", "data", "stats", "status", "type"};
   }
@@ -100,8 +102,8 @@ class EtherProto : public NetProto, public ProtoFiles {
   EtherSegment* segment() { return segment_; }
 
   // Crash semantics (node lifecycle): detach the station from the cable and
-  // hang up every in-use conversation's stream.  Idempotent; the destructor
-  // must not detach again (the restarted kernel may own a new station on the
+  // hang up every conversation's stream.  Idempotent; the destructor must
+  // not detach again (the restarted kernel may own a new station on the
   // same segment).
   void Unplug();
 
@@ -115,14 +117,16 @@ class EtherProto : public NetProto, public ProtoFiles {
   void Input(const EtherFrame& frame);
 
  private:
-  friend class EtherConv;
+  QLock& proto_lock() override RETURN_CAPABILITY(lock_) { return lock_; }
+  std::unique_ptr<NetConv> NewConv(int index) override {
+    return std::make_unique<EtherConv>(this, index);
+  }
 
   std::string name_;
   EtherSegment* segment_;
   MacAddr mac_;
   EtherSegment::StationId station_;
   QLock lock_{"ether.proto"};
-  std::vector<std::unique_ptr<EtherConv>> convs_ GUARDED_BY(lock_);
   bool unplugged_ GUARDED_BY(lock_) = false;
 };
 

@@ -36,35 +36,6 @@ const char* StateName(DkConv::State s) {
 
 }  // namespace
 
-class DkConv::Module : public StreamModule {
- public:
-  explicit Module(DkConv* conv) : conv_(conv) {}
-  std::string_view name() const override { return "urp"; }
-
-  void DownPut(BlockPtr b) override P9_CONSUMES(b) P9_HOT_PATH {
-    if (b->type != BlockType::kData) {
-      DropBlock(std::move(b));
-      return;
-    }
-    pending_.insert(pending_.end(), b->payload(), b->payload() + b->size());
-    bool delim = b->delim;
-    RecycleBlock(std::move(b));
-    if (!delim) {
-      return;
-    }
-    Bytes msg;
-    msg.swap(pending_);
-    Status s = conv_->SendMessage(msg);
-    if (!s.ok()) {
-      P9_LOG(kDebug) << "urp send: " << s.error().message();
-    }
-  }
-
- private:
-  DkConv* conv_;
-  Bytes pending_;
-};
-
 UrpMetrics::UrpMetrics() {
   auto& r = obs::MetricsRegistry::Default();
   cells_sent.BindParent(&r.CounterNamed("net.dk.cells-sent"));
@@ -86,26 +57,9 @@ void UrpMetrics::Reset() {
   bytes_received.Reset();
 }
 
-DkConv::DkConv(DkProto* proto, int index) : proto_(proto) {
-  index_ = index;
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
-}
+DkConv::DkConv(DkProto* proto, int index) : NetConv(proto, index), proto_(proto) {}
 
-DkConv::~DkConv() {
-  TimerId t;
-  {
-    QLockGuard guard(lock_);
-    t = timer_;
-    timer_ = kNoTimer;
-  }
-  if (t != kNoTimer) {
-    TimerWheel::Default().Cancel(t);
-  }
-}
-
-void DkConv::Recycle() {
-  QLockGuard guard(lock_);
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
+void DkConv::RecycleLocked() {
   state_ = State::kIdle;
   remote_addr_.clear();
   announced_service_.clear();
@@ -114,74 +68,56 @@ void DkConv::Recycle() {
   send_seq_ = send_una_ = recv_expect_ = 0;
   out_.clear();
   partial_.clear();
-  pending_.clear();
-  err_.clear();
   metrics_.Reset();
 }
 
-Status DkConv::Ctl(const std::string& msg) {
-  auto words = Tokenize(msg);
-  if (words.empty()) {
-    return Error(kErrBadCtl);
-  }
-  if (words[0] == "connect" && words.size() >= 2) {
-    {
-      QLockGuard guard(lock_);
-      if (state_ != State::kIdle) {
-        return Error("connection already in use");
-      }
-    }
-    auto circuit = proto_->dk()->Dial(proto_->host_name(), words[1]);
-    if (!circuit.ok()) {
-      return circuit.error();
-    }
-    {
-      QLockGuard guard(lock_);
-      remote_addr_ = words[1];
-    }
-    return AttachCircuit(*circuit, Wire::kA);
-  }
-  if (words[0] == "announce" && words.size() >= 2) {
+Status DkConv::Connect(const std::string& addr) {
+  {
     QLockGuard guard(lock_);
     if (state_ != State::kIdle) {
       return Error("connection already in use");
     }
-    announced_service_ = words[1];
-    state_ = State::kAnnounced;
-    return Status::Ok();
   }
-  if (words[0] == "accept") {
-    return DoAccept();
+  auto circuit = proto_->dk()->Dial(proto_->host_name(), addr);
+  if (!circuit.ok()) {
+    return circuit.error();
   }
-  if (words[0] == "reject") {
-    // "Some networks such as Datakit accept a reason for a rejection."
-    std::string reason = words.size() >= 2 ? words[1] : "rejected";
-    std::shared_ptr<DkCall> call;
-    {
-      QLockGuard guard(lock_);
-      call = call_;
-      state_ = State::kClosed;
-      err_ = reason;
-    }
-    if (call != nullptr) {
-      call->Reject(reason);
-    }
-    decided_.Wakeup();
-    stream_->Hangup();
-    {
-      QLockGuard guard(lock_);
-      slot_free_ = true;
-    }
-    return Status::Ok();
+  {
+    QLockGuard guard(lock_);
+    remote_addr_ = addr;
   }
-  if (words[0] == "hangup") {
-    CloseUser();
-    return Status::Ok();
-  }
-  return Error(kErrBadCtl);
+  return AttachCircuit(*circuit, Wire::kA);
 }
 
-Status DkConv::DoAccept() {
+Status DkConv::Announce(const std::string& addr) {
+  QLockGuard guard(lock_);
+  if (state_ != State::kIdle) {
+    return Error("connection already in use");
+  }
+  announced_service_ = addr;
+  state_ = State::kAnnounced;
+  return Status::Ok();
+}
+
+Status DkConv::Reject(const std::string& reason) {
+  std::shared_ptr<DkCall> call;
+  bool hangup;
+  {
+    QLockGuard guard(lock_);
+    call.swap(call_);
+    state_ = State::kClosed;
+    err_ = reason;
+    HangupLocked();
+    hangup = std::exchange(hangup_pending_, false);
+  }
+  if (call != nullptr) {
+    call->Reject(reason);
+  }
+  Settle(hangup);
+  return Status::Ok();
+}
+
+Status DkConv::Accept() {
   std::shared_ptr<DkCall> call;
   {
     QLockGuard guard(lock_);
@@ -195,7 +131,7 @@ Status DkConv::DoAccept() {
     return Error("call vanished");
   }
   Status s = AttachCircuit(circuit, Wire::kB);
-  decided_.Wakeup();
+  ready_.Wakeup();
   return s;
 }
 
@@ -206,9 +142,11 @@ Status DkConv::AttachCircuit(std::shared_ptr<DkCircuit> circuit, DkCircuit::End 
     end_ = end;
     state_ = State::kEstablished;
   }
+  // The callbacks name their circuit: a slot reused for a new call ignores
+  // stragglers from the old one.
   circuit->Attach(
-      end, [this](Bytes cell) { CircuitInput(std::move(cell)); },
-      [this] { CircuitHangup(); });
+      end, [this, c = circuit.get()](Bytes cell) { CircuitInput(c, std::move(cell)); },
+      [this, c = circuit.get()] { CircuitHangup(c); });
   return Status::Ok();
 }
 
@@ -221,9 +159,9 @@ Status DkConv::WaitReady() {
       return Status::Ok();
     }
   }
-  (void)DoAccept();
+  (void)Accept();
   QLockGuard guard(lock_);
-  bool done = decided_.SleepFor(lock_, std::chrono::seconds(5), [&]() REQUIRES(lock_) {
+  bool done = ready_.SleepFor(lock_, std::chrono::seconds(5), [&]() REQUIRES(lock_) {
     return state_ == State::kEstablished || state_ == State::kClosed;
   });
   if (state_ == State::kEstablished) {
@@ -231,20 +169,6 @@ Status DkConv::WaitReady() {
   }
   return Error(!done ? std::string(kErrTimedOut)
                      : (err_.empty() ? std::string(kErrConnRefused) : err_));
-}
-
-Result<int> DkConv::Listen() {
-  QLockGuard guard(lock_);
-  if (state_ != State::kAnnounced) {
-    return Error("not announced");
-  }
-  incoming_.Sleep(lock_, [&]() REQUIRES(lock_) { return !pending_.empty() || state_ == State::kClosed; });
-  if (state_ == State::kClosed) {
-    return Error(kErrHungup);
-  }
-  int conv = pending_.front();
-  pending_.pop_front();
-  return conv;
 }
 
 std::string DkConv::Local() {
@@ -271,23 +195,20 @@ std::string DkConv::StatusText() {
                    static_cast<unsigned long long>(metrics_.bytes_received.value()));
 }
 
-void DkConv::CloseUser() {
-  std::deque<int> orphans;
+void DkConv::CloseLocked() {
+  state_ = State::kClosed;
+  HangupLocked();
+}
+
+void DkConv::Detach() {
   std::shared_ptr<DkCircuit> circuit;
   std::shared_ptr<DkCall> call;
   DkCircuit::End end = Wire::kA;
   {
     QLockGuard guard(lock_);
-    orphans.swap(pending_);
-    circuit = circuit_;
-    call = call_;
+    circuit.swap(circuit_);
+    call.swap(call_);
     end = end_;
-    state_ = State::kClosed;
-    if (timer_ != kNoTimer) {
-      TimerWheel::Default().Cancel(timer_);
-      timer_ = kNoTimer;
-    }
-    slot_free_ = true;
   }
   if (call != nullptr) {
     call->Reject("hangup");
@@ -295,18 +216,9 @@ void DkConv::CloseUser() {
   if (circuit != nullptr) {
     circuit->Close(end);
   }
-  stream_->Hangup();
-  incoming_.Wakeup();
-  window_.Wakeup();
-  decided_.Wakeup();
-  for (int idx : orphans) {
-    if (NetConv* c = proto_->Conv(static_cast<size_t>(idx)); c != nullptr) {
-      c->CloseUser();
-    }
-  }
 }
 
-Status DkConv::SendMessage(const Bytes& msg) {
+Status DkConv::SendMessage(Bytes msg) {
   QLockGuard guard(lock_);
   // Cut the message into cells, marking message boundaries (Datakit/URP
   // preserves delimiters).
@@ -361,8 +273,8 @@ void DkConv::PumpLocked() {
     metrics_.cells_sent.Inc();
     (void)circuit_->Send(end_, cell.raw);
   }
-  if (send_una_ != send_seq_ && timer_ == kNoTimer) {
-    ArmTimerLocked();
+  if (send_una_ != send_seq_ && !TimerArmedLocked()) {
+    ArmTimerLocked(kUrpRto);
   }
 }
 
@@ -371,19 +283,7 @@ void DkConv::EmitAckLocked() {
   (void)circuit_->Send(end_, std::move(ack));
 }
 
-void DkConv::ArmTimerLocked() {
-  if (dying_) {
-    return;
-  }
-  if (timer_ != kNoTimer) {
-    TimerWheel::Default().Cancel(timer_);
-  }
-  timer_ = TimerWheel::Default().Schedule(kUrpRto, [this] { TimerFire(); });
-}
-
-void DkConv::TimerFire() {
-  QLockGuard guard(lock_);
-  timer_ = kNoTimer;
+void DkConv::TimerLocked() {
   if (state_ != State::kEstablished || send_una_ == send_seq_) {
     return;
   }
@@ -395,15 +295,16 @@ void DkConv::TimerFire() {
     metrics_.retransmits.Inc();
     (void)circuit_->Send(end_, cell.raw);
   }
-  ArmTimerLocked();
+  ArmTimerLocked(kUrpRto);
 }
 
-void DkConv::CircuitInput(Bytes cell) {
+void DkConv::CircuitInput(DkCircuit* circuit, Bytes cell) {
   P9_HOT_ROOT("urp.input");
   std::vector<BlockPtr> deliveries;
   {
     QLockGuard guard(lock_);
-    if (cell.size() < kCellHeader || state_ != State::kEstablished) {
+    if (cell.size() < kCellHeader || state_ != State::kEstablished ||
+        circuit_.get() != circuit) {
       return;
     }
     uint8_t type = cell[0];
@@ -418,9 +319,8 @@ void DkConv::CircuitInput(Bytes cell) {
         }
         send_una_ = (send_una_ + 1) & 7;
       }
-      if (send_una_ == send_seq_ && timer_ != kNoTimer) {
-        TimerWheel::Default().Cancel(timer_);
-        timer_ = kNoTimer;
+      if (send_una_ == send_seq_) {
+        CancelTimerLocked();
       }
       PumpLocked();
     } else if (type == kTypeData) {
@@ -450,19 +350,18 @@ void DkConv::CircuitInput(Bytes cell) {
   window_.Wakeup();
 }
 
-void DkConv::CircuitHangup() {
+void DkConv::CircuitHangup(DkCircuit* circuit) {
+  bool hangup = false;
   {
     QLockGuard guard(lock_);
-    state_ = State::kClosed;
-    err_ = kErrHungup;
-    if (timer_ != kNoTimer) {
-      TimerWheel::Default().Cancel(timer_);
-      timer_ = kNoTimer;
+    if (circuit_.get() == circuit) {
+      state_ = State::kClosed;
+      err_ = kErrHungup;
+      HangupLocked();
+      hangup = std::exchange(hangup_pending_, false);
     }
   }
-  stream_->Hangup();
-  window_.Wakeup();
-  decided_.Wakeup();
+  Settle(hangup);
 }
 
 DkProto::DkProto(DatakitSwitch* dk_switch, std::string host_name)
@@ -483,108 +382,9 @@ void DkProto::Unplug() {
   }
 }
 
-void DkProto::Abort(const std::string& why) {
-  Unplug();
-  std::vector<DkConv*> convs;
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      convs.push_back(c.get());
-    }
-  }
-  for (DkConv* c : convs) {
-    std::shared_ptr<DkCircuit> circuit;
-    DkCircuit::End end = Wire::kA;
-    {
-      QLockGuard guard(c->lock_);
-      c->dying_ = true;
-      if (c->state_ != DkConv::State::kClosed && c->state_ != DkConv::State::kIdle) {
-        c->err_ = why;
-      }
-      c->state_ = DkConv::State::kClosed;
-      c->pending_.clear();
-      c->call_.reset();  // pending incoming calls time out at the caller
-      circuit.swap(c->circuit_);
-      end = c->end_;
-      if (c->timer_ != kNoTimer) {
-        TimerWheel::Default().Cancel(c->timer_);
-        c->timer_ = kNoTimer;
-      }
-    }
-    if (circuit != nullptr) {
-      // The switch tears down a dead host's circuits: the peer observes a
-      // hangup arriving over the circuit, never our memory state.
-      circuit->Close(end);
-    }
-    c->stream_->Hangup();
-    c->window_.Wakeup();
-    c->incoming_.Wakeup();
-    c->decided_.Wakeup();
-  }
-  TimerWheel::Default().Drain();
-}
-
 DkProto::~DkProto() {
   Unplug();
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      TimerId t;
-      {
-        QLockGuard cguard(c->lock_);
-        c->dying_ = true;
-        t = c->timer_;
-        c->timer_ = kNoTimer;
-      }
-      if (t != kNoTimer) {
-        TimerWheel::Default().Cancel(t);
-      }
-    }
-  }
-  TimerWheel::Default().Drain();
-}
-
-Result<NetConv*> DkProto::Clone() {
-  auto conv = AllocConv();
-  if (!conv.ok()) {
-    return conv.error();
-  }
-  return static_cast<NetConv*>(*conv);
-}
-
-Result<DkConv*> DkProto::AllocConv() {
-  QLockGuard guard(lock_);
-  for (auto& c : convs_) {
-    bool reusable;
-    {
-      QLockGuard cguard(c->lock_);
-      reusable = c->slot_free_ && c->state_ == DkConv::State::kIdle && c->refs.load() == 0;
-    }
-    if (reusable) {
-      c->Recycle();
-      QLockGuard cguard(c->lock_);
-      c->slot_free_ = false;
-      return c.get();
-    }
-  }
-  if (convs_.size() >= MaxConvs()) {
-    return Error(kErrNoConv);
-  }
-  convs_.push_back(std::make_unique<DkConv>(this, static_cast<int>(convs_.size())));
-  DkConv* c = convs_.back().get();
-  QLockGuard cguard(c->lock_);
-  c->slot_free_ = false;
-  return c;
-}
-
-NetConv* DkProto::Conv(size_t index) {
-  QLockGuard guard(lock_);
-  return index < convs_.size() ? convs_[index].get() : nullptr;
-}
-
-size_t DkProto::ConvCount() {
-  QLockGuard guard(lock_);
-  return convs_.size();
+  Quiesce();
 }
 
 void DkProto::IncomingCall(std::shared_ptr<DkCall> call) {
@@ -594,21 +394,18 @@ void DkProto::IncomingCall(std::shared_ptr<DkCall> call) {
   DkConv* listener = nullptr;
   {
     QLockGuard guard(lock_);
-    for (auto& c : convs_) {
+    for (auto& n : convs_) {
+      DkConv* c = static_cast<DkConv*>(n.get());
       QLockGuard cguard(c->lock_);
-      if (c->state_ == DkConv::State::kAnnounced &&
-          c->announced_service_ == call->service()) {
-        listener = c.get();
+      if (c->state_ != DkConv::State::kAnnounced) {
+        continue;
+      }
+      if (c->announced_service_ == call->service()) {
+        listener = c;
         break;
       }
-    }
-    if (listener == nullptr) {
-      for (auto& c : convs_) {
-        QLockGuard cguard(c->lock_);
-        if (c->state_ == DkConv::State::kAnnounced && c->announced_service_ == "*") {
-          listener = c.get();
-          break;
-        }
+      if (listener == nullptr && c->announced_service_ == "*") {
+        listener = c;
       }
     }
   }
@@ -616,23 +413,19 @@ void DkProto::IncomingCall(std::shared_ptr<DkCall> call) {
     call->Reject("no listener");
     return;
   }
-  auto spawned = AllocConv();
+  auto spawned = Clone();
   if (!spawned.ok()) {
     call->Reject("no free conversations");
     return;
   }
-  DkConv* nc = *spawned;
+  auto* nc = static_cast<DkConv*>(*spawned);
   {
     QLockGuard guard(nc->lock_);
     nc->state_ = DkConv::State::kIncoming;
     nc->call_ = call;
     nc->remote_addr_ = call->from() + "!" + call->service();
   }
-  {
-    QLockGuard guard(listener->lock_);
-    listener->pending_.push_back(nc->index());
-  }
-  listener->incoming_.Wakeup();
+  listener->QueueCall(nc->index());
 }
 
 }  // namespace plan9

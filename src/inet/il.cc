@@ -37,18 +37,6 @@ constexpr int kDeadmanQueries = 10;
 // idle conversations); unanswered probes count toward the deadman.
 constexpr auto kKeepaliveTime = std::chrono::microseconds(2'000'000);
 
-void Put16(uint8_t* p, uint16_t v) {
-  p[0] = static_cast<uint8_t>(v >> 8);
-  p[1] = static_cast<uint8_t>(v);
-}
-uint16_t Get16(const uint8_t* p) { return static_cast<uint16_t>(p[0] << 8 | p[1]); }
-void Put32(uint8_t* p, uint32_t v) {
-  Put16(p, static_cast<uint16_t>(v >> 16));
-  Put16(p + 2, static_cast<uint16_t>(v));
-}
-uint32_t Get32(const uint8_t* p) {
-  return static_cast<uint32_t>(Get16(p)) << 16 | Get16(p + 2);
-}
 
 const char* StateName(IlConv::State s) {
   switch (s) {
@@ -99,60 +87,12 @@ void IlConvMetrics::Reset() {
   deadman_closes.Reset();
 }
 
-// Stream device module: delimited messages from the user become IL messages.
-class IlConv::Module : public StreamModule {
- public:
-  explicit Module(IlConv* conv) : conv_(conv) {}
-  std::string_view name() const override { return "il"; }
+IlConv::IlConv(IlProto* proto, int index) : IpConv(proto, index) {}
 
-  void DownPut(BlockPtr b) override P9_CONSUMES(b) P9_HOT_PATH {
-    if (b->type != BlockType::kData) {
-      DropBlock(std::move(b));
-      return;
-    }
-    pending_.insert(pending_.end(), b->payload(), b->payload() + b->size());
-    bool delim = b->delim;
-    RecycleBlock(std::move(b));  // payload captured; pool the node
-    if (!delim) {
-      return;
-    }
-    Bytes msg;
-    msg.swap(pending_);
-    Status s = conv_->SendMessage(std::move(msg));
-    if (!s.ok()) {
-      P9_LOG(kDebug) << "il send: " << s.error().message();
-    }
-  }
-
- private:
-  IlConv* conv_;
-  Bytes pending_;
-};
-
-IlConv::IlConv(IlProto* proto, int index) : proto_(proto) {
-  index_ = index;
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
-}
-
-IlConv::~IlConv() {
-  TimerId t;
-  {
-    QLockGuard guard(lock_);
-    t = timer_;
-    timer_ = kNoTimer;
-  }
-  if (t != kNoTimer) {
-    TimerWheel::Default().Cancel(t);
-  }
-}
-
-void IlConv::Recycle() {
-  QLockGuard guard(lock_);
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
+void IlConv::RecycleLocked() {
+  IpConv::RecycleLocked();
   state_ = State::kClosed;
-  laddr_ = raddr_ = Ipv4Addr{};
-  lport_ = rport_ = 0;
-  start_ = next_ = rstart_ = recvd_ = 0;
+  start_ = next_ = recvd_ = 0;
   unacked_.clear();
   out_of_order_.clear();
   srtt_ = mdev_ = std::chrono::microseconds(0);
@@ -160,119 +100,44 @@ void IlConv::Recycle() {
   sync_tries_ = 0;
   close_tries_ = 0;
   unanswered_queries_ = 0;
-  pending_.clear();
-  err_.clear();
   metrics_.Reset();
 }
 
-Status IlConv::Ctl(const std::string& msg) {
-  auto words = Tokenize(msg);
-  if (words.empty()) {
-    return Error(kErrBadCtl);
-  }
-  if (words[0] == "connect" && words.size() >= 2) {
-    P9_ASSIGN_OR_RETURN(HostPort hp, ParseConnectAddr(words[1]));
-    return StartConnect(hp);
-  }
-  if (words[0] == "announce" && words.size() >= 2) {
-    P9_ASSIGN_OR_RETURN(uint16_t port, ParseAnnounceAddr(words[1]));
-    QLockGuard guard(lock_);
-    if (state_ != State::kClosed) {
-      return Error("connection already in use");
-    }
-    lport_ = port;
-    state_ = State::kListening;
-    return Status::Ok();
-  }
-  if (words[0] == "hangup" || words[0] == "reject") {
-    // "networks such as IP ignore the third argument" — reject == hangup.
-    CloseUser();
-    return Status::Ok();
-  }
-  if (words[0] == "accept") {
-    return Status::Ok();  // IP-family calls are already accepted at listen
-  }
-  return Error(kErrBadCtl);
-}
-
-Status IlConv::StartConnect(const HostPort& dest) {
-  P9_ASSIGN_OR_RETURN(Ipv4Addr laddr, proto_->ip()->SourceFor(dest.addr));
-  uint16_t ephemeral;
-  uint32_t isn;
-  {
-    QLockGuard pguard(proto_->lock_);
-    ephemeral = proto_->ports_.Next();
-    isn = static_cast<uint32_t>(proto_->isn_rng_.Next());
-  }
-  Status emit = Status::Ok();
-  {
-    QLockGuard guard(lock_);
-    if (state_ != State::kClosed) {
-      return Error("connection already in use");
-    }
-    laddr_ = laddr;
-    raddr_ = dest.addr;
-    lport_ = ephemeral;
-    rport_ = dest.port;
-    // "Connection setup uses a two way handshake to generate initial
-    // sequence numbers at each end of the connection."
-    start_ = isn;
-    next_ = start_ + 1;
-    state_ = State::kSyncer;
-    sync_tries_ = 0;
-    emit = EmitLocked(IlType::kSync, start_, 0, {});
-    ArmTimerLocked(RtoLocked());
-  }
+Status IlConv::ConnectLocked(uint16_t port, uint32_t isn) {
+  lport_ = port;
+  // "Connection setup uses a two way handshake to generate initial
+  // sequence numbers at each end of the connection."
+  start_ = isn;
+  next_ = start_ + 1;
+  state_ = State::kSyncer;
+  sync_tries_ = 0;
+  Status emit = EmitLocked(IlType::kSync, start_, 0, {});
+  ArmTimerLocked(RtoLocked());
   return emit;
 }
 
-Status IlConv::WaitReady() {
-  QLockGuard guard(lock_);
-  if (state_ == State::kListening) {
-    return Status::Ok();
-  }
-  bool done = ready_.SleepFor(lock_, std::chrono::seconds(15), [&]() REQUIRES(lock_) {
-    return state_ == State::kEstablished || state_ == State::kClosed;
-  });
-  if (state_ == State::kEstablished) {
-    return Status::Ok();
-  }
-  if (!done) {
-    return Error(kErrTimedOut);
-  }
-  return Error(err_.empty() ? std::string(kErrConnRefused) : err_);
+bool IlConv::OpenLocked(IpSegment& seg, uint32_t isn, IpConv* listener) {
+  state_ = State::kSyncee;
+  recvd_ = seg.seq;
+  start_ = isn;
+  next_ = isn + 1;
+  // Answer the sync: our initial id, acking theirs.
+  (void)EmitLocked(IlType::kSync, start_, recvd_, {});
+  ArmTimerLocked(RtoLocked());
+  return true;
 }
 
-Result<int> IlConv::Listen() {
-  QLockGuard guard(lock_);
-  if (state_ != State::kListening) {
-    return Error("not announced");
-  }
-  incoming_.Sleep(lock_, [&]() REQUIRES(lock_) { return !pending_.empty() || state_ == State::kClosed; });
-  if (state_ == State::kClosed) {
-    return Error(kErrHungup);
-  }
-  int conv = pending_.front();
-  pending_.pop_front();
-  return conv;
-}
-
-std::string IlConv::Local() {
-  QLockGuard guard(lock_);
-  Ipv4Addr shown = laddr_.IsUnspecified() ? proto_->ip()->PrimaryAddr() : laddr_;
-  return StrFormat("%s %u\n", IpToString(shown).c_str(), lport_);
-}
-
-std::string IlConv::Remote() {
-  QLockGuard guard(lock_);
-  return StrFormat("%s %u\n", IpToString(raddr_).c_str(), rport_);
+void IlConv::EstablishLocked() {
+  state_ = State::kEstablished;
+  backoff_ = 0;
+  sync_tries_ = 0;
 }
 
 std::string IlConv::StatusText() {
   QLockGuard guard(lock_);
   // The paper's one-line conversation summary: state, local/remote address,
   // bytes each way (plus IL's adaptive-timeout state for good measure).
-  Ipv4Addr shown = laddr_.IsUnspecified() ? proto_->ip()->PrimaryAddr() : laddr_;
+  Ipv4Addr shown = laddr_.IsUnspecified() ? ip()->PrimaryAddr() : laddr_;
   return StrFormat("il/%d %d %s %s!%u %s!%u tx %llu rx %llu rtt %lld us unacked %zu%s\n",
                    index_, refs.load(), StateName(state_),
                    IpToString(shown).c_str(), lport_, IpToString(raddr_).c_str(),
@@ -288,66 +153,24 @@ std::chrono::microseconds IlConv::Srtt() {
   return srtt_;
 }
 
-void IlConv::CloseUser() {
-  std::deque<int> orphans;
-  bool hangup = false;
-  {
-    QLockGuard guard(lock_);
-    switch (state_) {
-      case State::kEstablished:
-        state_ = State::kClosing;
-        close_tries_ = 0;
-        (void)EmitLocked(IlType::kClose, next_, recvd_, {});
-        ArmTimerLocked(RtoLocked());
-        break;
-      case State::kListening:
-        orphans.swap(pending_);
-        state_ = State::kClosed;
-        HangupLocked();
-        break;
-      case State::kSyncer:
-      case State::kSyncee:
-        state_ = State::kClosed;
-        HangupLocked();
-        break;
-      case State::kClosing:
-      case State::kClosed:
-        break;
-    }
-    hangup = std::exchange(hangup_pending_, false);
+void IlConv::CloseLocked() {
+  switch (state_) {
+    case State::kEstablished:
+      state_ = State::kClosing;
+      close_tries_ = 0;
+      (void)EmitLocked(IlType::kClose, next_, recvd_, {});
+      ArmTimerLocked(RtoLocked());
+      break;
+    case State::kListening:
+    case State::kSyncer:
+    case State::kSyncee:
+      state_ = State::kClosed;
+      HangupLocked(kErrClosed);
+      break;
+    case State::kClosing:
+    case State::kClosed:
+      break;
   }
-  if (hangup) {
-    CompleteHangup();
-  }
-  ready_.Wakeup();
-  window_.Wakeup();
-  incoming_.Wakeup();
-  for (int idx : orphans) {
-    if (NetConv* c = proto_->Conv(static_cast<size_t>(idx)); c != nullptr) {
-      c->CloseUser();
-    }
-  }
-}
-
-void IlConv::HangupLocked() {
-  // Not stream_->Hangup() here: that takes the stream chain lock, which the
-  // user write path holds while acquiring lock_.  Callers drain the flag
-  // once lock_ is dropped.
-  hangup_pending_ = true;
-  err_ = err_.empty() ? std::string(kErrClosed) : err_;
-  if (timer_ != kNoTimer) {
-    TimerWheel::Default().Cancel(timer_);
-    timer_ = kNoTimer;
-  }
-}
-
-void IlConv::CompleteHangup() {
-  stream_->Hangup();
-  // Publish the slot only now: AllocConv may Recycle() a free slot, which
-  // replaces stream_ — that must not happen while the old stream is still
-  // delivering the hangup.
-  QLockGuard guard(lock_);
-  slot_free_ = true;
 }
 
 Status IlConv::SendMessage(Bytes payload) {
@@ -393,7 +216,7 @@ Status IlConv::EmitLocked(IlType type, uint32_t id, uint32_t ack, const Bytes& p
     std::memcpy(h + kIlHeaderSize, payload.data(), payload.size());
   }
   Put16(h, InetChecksum(pkt.data(), pkt.size()));
-  return proto_->ip()->Send(kIpProtoIl, laddr_, raddr_, pkt);
+  return ip()->Send(kIpProtoIl, laddr_, raddr_, pkt);
 }
 
 std::chrono::microseconds IlConv::RtoLocked() const {
@@ -419,7 +242,7 @@ void IlConv::RttSampleLocked(std::chrono::microseconds sample) {
   if (obs::FlightRecorder::Default().enabled(obs::TraceKind::kSpan) &&
       obs::Tracer::Default().sample_interval() != 0 && trace_hi() != 0 &&
       TakeRttSpanBudget()) {
-    obs::EmitPointSpan("il.rtt", proto_->host(), trace_hi(), trace_lo(),
+    obs::EmitPointSpan("il.rtt", proto()->host(), trace_hi(), trace_lo(),
                        trace_parent(),
                        static_cast<uint64_t>(sample.count()));
   }
@@ -434,26 +257,13 @@ void IlConv::RttSampleLocked(std::chrono::microseconds sample) {
   mdev_ += (std::chrono::microseconds(std::abs(err.count())) - mdev_) / 4;
 }
 
-void IlConv::ArmTimerLocked(std::chrono::microseconds delay) {
-  if (dying_) {
-    return;  // teardown in progress: a re-armed timer would fire on freed state
-  }
-  if (timer_ != kNoTimer) {
-    TimerWheel::Default().Cancel(timer_);
-  }
-  timer_ = TimerWheel::Default().Schedule(delay, [this] { TimerFire(); });
-}
-
-void IlConv::TimerFire() {
-  QLockGuard guard(lock_);
-  timer_ = kNoTimer;
+void IlConv::TimerLocked() {
   switch (state_) {
     case State::kSyncer:
     case State::kSyncee:
       if (++sync_tries_ > kMaxSyncTries) {
         state_ = State::kClosed;
-        err_ = kErrTimedOut;
-        HangupLocked();
+        HangupLocked(kErrTimedOut);
         break;
       }
       (void)EmitLocked(IlType::kSync, start_, state_ == State::kSyncee ? recvd_ : 0, {});
@@ -468,8 +278,7 @@ void IlConv::TimerFire() {
         obs::MetricsRegistry::Default().CounterNamed("recovery.il.deadman-reaped").Inc();
         P9_TRACE(obs::TraceKind::kIl, StrFormat("il/%d", index_), "deadman close");
         state_ = State::kClosed;
-        err_ = kErrTimedOut;
-        HangupLocked();
+        HangupLocked(kErrTimedOut);
         break;
       }
       if (unacked_.empty()) {
@@ -488,8 +297,7 @@ void IlConv::TimerFire() {
       }
       if (++backoff_ > kMaxBackoff) {
         state_ = State::kClosed;
-        err_ = kErrTimedOut;
-        HangupLocked();
+        HangupLocked(kErrTimedOut);
         break;
       }
       // "In contrast to other protocols, IL does not do blind retransmission.
@@ -504,7 +312,7 @@ void IlConv::TimerFire() {
     case State::kClosing:
       if (++close_tries_ > kMaxCloseTries) {
         state_ = State::kClosed;
-        HangupLocked();
+        HangupLocked(kErrClosed);
         break;
       }
       (void)EmitLocked(IlType::kClose, next_, recvd_, {});
@@ -514,13 +322,6 @@ void IlConv::TimerFire() {
     case State::kClosed:
       break;
   }
-  bool hangup = std::exchange(hangup_pending_, false);
-  guard.Unlock();
-  if (hangup) {
-    CompleteHangup();
-  }
-  ready_.Wakeup();
-  window_.Wakeup();
 }
 
 void IlConv::HandleAckLocked(uint32_t ack) {
@@ -553,8 +354,7 @@ void IlConv::HandleAckLocked(uint32_t ack) {
   }
 }
 
-void IlConv::DeliverDataLocked(uint32_t id, Bytes payload, bool is_query,
-                               std::vector<BlockPtr>* deliveries) {
+void IlConv::DeliverDataLocked(uint32_t id, Bytes payload, std::vector<BlockPtr>* deliveries) {
   int32_t delta = static_cast<int32_t>(id - recvd_);
   if (delta <= 0) {
     metrics_.dups_dropped.Inc();
@@ -585,10 +385,11 @@ void IlConv::DeliverDataLocked(uint32_t id, Bytes payload, bool is_query,
   }
 }
 
-void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint32_t ack,
-                   Bytes payload) {
+void IlConv::Input(IpSegment seg) {
+  auto type = static_cast<IlType>(seg.flags);
+  uint32_t id = seg.seq;
+  uint32_t ack = seg.ack;
   std::vector<BlockPtr> deliveries;
-  bool wake_ready = false;
   bool hangup = false;
   {
     QLockGuard guard(lock_);
@@ -596,26 +397,22 @@ void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint3
       case State::kSyncer:
         if (type == IlType::kSync && ack == start_) {
           // Our sync was acknowledged; the peer's id seeds our receive seq.
-          rstart_ = id;
           recvd_ = id;
-          state_ = State::kEstablished;
-          backoff_ = 0;
-          sync_tries_ = 0;
+          EstablishLocked();
           (void)EmitLocked(IlType::kAck, next_ - 1, recvd_, {});
-          wake_ready = true;
+        } else if (type == IlType::kClose && ack == start_) {
+          // Nobody listens on that port: the peer refused our sync.
+          state_ = State::kClosed;
+          HangupLocked(kErrConnRefused);
         }
         break;
       case State::kSyncee:
         if ((type == IlType::kAck || type == IlType::kData ||
              type == IlType::kDataQuery) &&
             ack == start_) {
-          state_ = State::kEstablished;
-          backoff_ = 0;
-          sync_tries_ = 0;
-          wake_ready = true;
+          EstablishLocked();
           if (type == IlType::kData || type == IlType::kDataQuery) {
-            DeliverDataLocked(id, std::move(payload), type == IlType::kDataQuery,
-                              &deliveries);
+            DeliverDataLocked(id, std::move(seg.payload), &deliveries);
             (void)EmitLocked(IlType::kAck, next_ - 1, recvd_, {});
           }
         } else if (type == IlType::kQuery && ack == start_) {
@@ -623,12 +420,9 @@ void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint3
           // our sync-ack never registered here — its query acking our start
           // proves the handshake completed.  Without this transition the
           // conversation stalls until the sync retry timer happens to fire.
-          state_ = State::kEstablished;
-          backoff_ = 0;
-          sync_tries_ = 0;
+          EstablishLocked();
           metrics_.states_sent.Inc();
           (void)EmitLocked(IlType::kState, next_ - 1, recvd_, {});
-          wake_ready = true;
         } else if (type == IlType::kSync) {
           // Duplicate sync from the peer: re-answer.
           (void)EmitLocked(IlType::kSync, start_, recvd_, {});
@@ -646,8 +440,7 @@ void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint3
           case IlType::kDataQuery: {
             HandleAckLocked(ack);
             uint32_t before = recvd_;
-            DeliverDataLocked(id, std::move(payload), type == IlType::kDataQuery,
-                              &deliveries);
+            DeliverDataLocked(id, std::move(seg.payload), &deliveries);
             if (recvd_ != before || type == IlType::kDataQuery) {
               // Acknowledge received data.  A DataQuery (retransmission)
               // demands an immediate ack even if nothing advanced.
@@ -702,24 +495,20 @@ void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint3
           case IlType::kClose:
             (void)EmitLocked(IlType::kClose, next_, recvd_, {});
             state_ = State::kClosed;
-            err_ = kErrClosed;
-            HangupLocked();
+            HangupLocked(kErrClosed);
             break;
         }
         break;
       case State::kClosing:
         if (type == IlType::kClose) {
           state_ = State::kClosed;
-          HangupLocked();
+          HangupLocked(kErrClosed);
         } else if (type == IlType::kQuery) {
           (void)EmitLocked(IlType::kState, next_ - 1, recvd_, {});
         }
         break;
-      case State::kListening:
+      case State::kListening:  // never demultiplexed here
       case State::kClosed:
-        if (type == IlType::kClose) {
-          (void)EmitLocked(IlType::kClose, next_, recvd_, {});
-        }
         break;
     }
     hangup = std::exchange(hangup_pending_, false);
@@ -727,120 +516,10 @@ void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint3
   for (auto& b : deliveries) {
     stream_->DeliverUp(std::move(b));
   }
-  if (hangup) {
-    CompleteHangup();
-  }
-  if (wake_ready) {
-    ready_.Wakeup();
-  }
-  window_.Wakeup();
+  Settle(hangup);
 }
 
-IlProto::IlProto(IpStack* ip) : ip_(ip) {
-  ip_->RegisterProtocol(kIpProtoIl,
-                        [this](IpPacket&& pkt) { Input(std::move(pkt)); });
-}
-
-IlProto::~IlProto() {
-  ip_->UnregisterProtocol(kIpProtoIl);
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      TimerId t;
-      {
-        QLockGuard cguard(c->lock_);
-        c->dying_ = true;  // a racing TimerFire must not re-arm
-        t = c->timer_;
-        c->timer_ = kNoTimer;
-      }
-      if (t != kNoTimer) {
-        TimerWheel::Default().Cancel(t);
-      }
-    }
-  }
-  // No new packets or timer fires can reach a conversation now; wait out any
-  // callback already executing.
-  TimerWheel::Default().Drain();
-}
-
-void IlProto::Abort(const std::string& why) {
-  std::vector<IlConv*> convs;
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      convs.push_back(c.get());
-    }
-  }
-  for (IlConv* c : convs) {
-    bool hangup = false;
-    {
-      QLockGuard guard(c->lock_);
-      c->dying_ = true;  // a racing TimerFire must not re-arm
-      if (c->state_ != IlConv::State::kClosed) {
-        c->err_ = why;
-        c->state_ = IlConv::State::kClosed;
-        c->pending_.clear();  // listeners drop their queued calls too
-        c->HangupLocked();
-      } else if (c->timer_ != kNoTimer) {
-        TimerWheel::Default().Cancel(c->timer_);
-        c->timer_ = kNoTimer;
-      }
-      hangup = std::exchange(c->hangup_pending_, false);
-    }
-    if (hangup) {
-      c->CompleteHangup();
-    }
-    c->ready_.Wakeup();
-    c->window_.Wakeup();
-    c->incoming_.Wakeup();
-  }
-  // Wait out timer callbacks already executing; after Drain no conversation
-  // can emit or re-arm.
-  TimerWheel::Default().Drain();
-}
-
-Result<NetConv*> IlProto::Clone() {
-  auto conv = AllocConv();
-  if (!conv.ok()) {
-    return conv.error();
-  }
-  return static_cast<NetConv*>(*conv);
-}
-
-Result<IlConv*> IlProto::AllocConv() {
-  QLockGuard guard(lock_);
-  for (auto& c : convs_) {
-    bool reusable;
-    {
-      QLockGuard cguard(c->lock_);
-      reusable = c->slot_free_ && c->state_ == IlConv::State::kClosed && c->refs.load() == 0;
-    }
-    if (reusable) {
-      c->Recycle();
-      QLockGuard cguard(c->lock_);
-      c->slot_free_ = false;
-      return c.get();
-    }
-  }
-  if (convs_.size() >= MaxConvs()) {
-    return Error(kErrNoConv);
-  }
-  convs_.push_back(std::make_unique<IlConv>(this, static_cast<int>(convs_.size())));
-  IlConv* c = convs_.back().get();
-  QLockGuard cguard(c->lock_);
-  c->slot_free_ = false;
-  return c;
-}
-
-NetConv* IlProto::Conv(size_t index) {
-  QLockGuard guard(lock_);
-  return index < convs_.size() ? convs_[index].get() : nullptr;
-}
-
-size_t IlProto::ConvCount() {
-  QLockGuard guard(lock_);
-  return convs_.size();
-}
+IlProto::IlProto(IpStack* ip) : IpProto(ip, kIpProtoIl, 0xc0ffee) { Start(); }
 
 Result<std::string> IlProto::InfoText(NetConv* conv, const std::string& file) {
   if (file == "stats") {
@@ -864,126 +543,54 @@ Result<std::string> IlProto::InfoText(NetConv* conv, const std::string& file) {
     out += StrFormat("rtt: %lld us\n", static_cast<long long>(c->Srtt().count()));
     return out;
   }
-  return ProtoFiles::InfoText(conv, file);
+  return NetProto::InfoText(conv, file);
 }
 
-IlConv* IlProto::SpawnFromSync(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
-                               uint32_t peer_id, IlConv* listener) {
-  auto spawned = AllocConv();
-  if (!spawned.ok()) {
-    return nullptr;
-  }
-  IlConv* nc = *spawned;
-  uint32_t isn;
-  {
-    QLockGuard guard(lock_);
-    isn = static_cast<uint32_t>(isn_rng_.Next());
-  }
-  {
-    QLockGuard guard(nc->lock_);
-    nc->state_ = IlConv::State::kSyncee;
-    nc->laddr_ = dst;
-    nc->lport_ = dport;
-    nc->raddr_ = src;
-    nc->rport_ = sport;
-    nc->rstart_ = peer_id;
-    nc->recvd_ = peer_id;
-    nc->start_ = isn;
-    nc->next_ = isn + 1;
-    // Answer the sync: our initial id, acking theirs.
-    (void)nc->EmitLocked(IlType::kSync, nc->start_, nc->recvd_, {});
-    nc->ArmTimerLocked(nc->RtoLocked());
-  }
-  {
-    QLockGuard guard(listener->lock_);
-    listener->pending_.push_back(nc->index());
-  }
-  listener->incoming_.Wakeup();
-  return nc;
-}
-
-void IlProto::Input(IpPacket&& pkt) {
-  P9_HOT_ROOT("il.input");
+bool IlProto::Parse(IpPacket& pkt, IpSegment* seg) {
   if (pkt.payload.size() < kIlHeaderSize) {
-    return;
+    return false;
   }
   const uint8_t* h = pkt.payload.data();
   if (InetChecksum(h, Get16(h + 2) <= pkt.payload.size() ? Get16(h + 2)
                                                          : pkt.payload.size()) != 0) {
-    return;  // corrupt
+    return false;  // corrupt
   }
   uint16_t len = Get16(h + 2);
   if (len < kIlHeaderSize || len > pkt.payload.size()) {
-    return;
+    return false;
   }
-  IlType type = static_cast<IlType>(h[4]);
-  uint16_t sport = Get16(h + 6);
-  uint16_t dport = Get16(h + 8);
-  uint32_t id = Get32(h + 10);
-  uint32_t ack = Get32(h + 14);
+  seg->flags = h[4];
+  seg->sport = Get16(h + 6);
+  seg->dport = Get16(h + 8);
+  seg->seq = Get32(h + 10);
+  seg->ack = Get32(h + 14);
   // Reuse the packet's buffer for the payload: truncate the trailer, shift
   // out the header.  One memmove, no allocation on the receive path.
-  Bytes payload = std::move(pkt.payload);
-  payload.resize(len);
-  payload.erase(payload.begin(), payload.begin() + kIlHeaderSize);
-
-  // Demultiplex: exact conversation first, listener for Syncs second.
-  IlConv* conv = nullptr;
-  IlConv* listener = nullptr;
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      QLockGuard cguard(c->lock_);
-      if (c->state_ != IlConv::State::kClosed &&
-          c->state_ != IlConv::State::kListening && c->lport_ == dport &&
-          c->rport_ == sport && c->raddr_ == pkt.src) {
-        conv = c.get();
-        break;
-      }
-    }
-    if (conv == nullptr && type == IlType::kSync) {
-      for (auto& c : convs_) {
-        QLockGuard cguard(c->lock_);
-        if (c->state_ == IlConv::State::kListening && c->lport_ == dport) {
-          listener = c.get();
-          break;
-        }
-      }
-    }
-  }
-  if (conv != nullptr) {
-    conv->Input(pkt.src, type, sport, id, ack, std::move(payload));
-    return;
-  }
-  if (listener != nullptr) {
-    SpawnFromSync(pkt.dst, pkt.src, dport, sport, id, listener);
-    return;
-  }
-  // No conversation wants this packet.  Real IL resets traffic for
-  // conversations it has no record of, so a peer probing a dead one (its
-  // keep-alive, a query across our deadman kill) learns fast instead of
-  // probing a black hole.  Syncs to closed ports stay silently ignored
-  // (connection attempts ride their own retry ladder), and we never answer
-  // a kClose with a kClose — that would ping-pong between two dead ends.
-  if (type != IlType::kSync && type != IlType::kClose) {
-    SendReset(pkt.dst, pkt.src, dport, sport, ack, id);
-  }
+  seg->payload = std::move(pkt.payload);
+  seg->payload.resize(len);
+  seg->payload.erase(seg->payload.begin(), seg->payload.begin() + kIlHeaderSize);
+  return true;
 }
 
-void IlProto::SendReset(Ipv4Addr laddr, Ipv4Addr raddr, uint16_t lport, uint16_t rport,
-                        uint32_t id, uint32_t ack) {
+void IlProto::NobodyHome(const IpSegment& seg) {
+  // Real IL resets traffic for conversations it has no record of, so a peer
+  // probing a dead one (its keep-alive, a query across our deadman kill)
+  // learns fast instead of probing a black hole, and a sync to a port
+  // nobody announced is refused at once.  We never answer a kClose with a
+  // kClose — that would ping-pong between two dead ends.
+  if (static_cast<IlType>(seg.flags) == IlType::kClose) {
+    return;
+  }
   Bytes pkt(kIlHeaderSize);
   uint8_t* h = pkt.data();
-  Put16(h, 0);  // sum, filled below
   Put16(h + 2, static_cast<uint16_t>(pkt.size()));
   h[4] = static_cast<uint8_t>(IlType::kClose);
-  h[5] = 0;  // spec
-  Put16(h + 6, lport);
-  Put16(h + 8, rport);
-  Put32(h + 10, id);
-  Put32(h + 14, ack);
+  Put16(h + 6, seg.dport);
+  Put16(h + 8, seg.sport);
+  Put32(h + 10, seg.ack);
+  Put32(h + 14, seg.seq);
   Put16(h, InetChecksum(pkt.data(), pkt.size()));
-  (void)ip_->Send(kIpProtoIl, laddr, raddr, pkt);
+  (void)ip()->Send(kIpProtoIl, seg.dst, seg.src, pkt);
 }
 
 }  // namespace plan9

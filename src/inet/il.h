@@ -23,19 +23,11 @@
 #include <chrono>
 #include <deque>
 #include <map>
-#include <memory>
 #include <vector>
 
-#include "src/base/rand.h"
 #include "src/base/thread_annotations.h"
-#include "src/dev/devproto.h"
-#include "src/inet/ip.h"
-#include "src/inet/netproto.h"
-#include "src/inet/portutil.h"
+#include "src/inet/ipconv.h"
 #include "src/obs/metrics.h"
-#include "src/task/qlock.h"
-#include "src/task/rendez.h"
-#include "src/task/timers.h"
 
 namespace plan9 {
 
@@ -72,7 +64,7 @@ struct IlConvMetrics {
 
 class IlProto;
 
-class IlConv : public NetConv {
+class IlConv : public IpConv {
  public:
   enum class State {
     kClosed,
@@ -88,22 +80,13 @@ class IlConv : public NetConv {
   static constexpr uint32_t kWindow = 20;
 
   IlConv(IlProto* proto, int index);
-  ~IlConv() override;
 
-  Status Ctl(const std::string& msg) override;
-  Status WaitReady() override;
-  Result<int> Listen() override;
-  std::string Local() override;
-  std::string Remote() override;
   std::string StatusText() override;
-  void CloseUser() override;
 
   const IlConvMetrics& metrics() const { return metrics_; }
   std::chrono::microseconds Srtt();
 
  private:
-  friend class IlProto;
-  class Module;
   struct Unacked {
     uint32_t id;
     Bytes payload;
@@ -111,42 +94,36 @@ class IlConv : public NetConv {
     bool retransmitted = false;
   };
 
-  // Locked() methods require lock_ held, enforced by the analysis.
-  Status StartConnect(const HostPort& dest);
-  Status SendMessage(Bytes payload) P9_HOT_PATH MAY_BLOCK;  // user data path; window sleep
-  void Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint32_t ack,
-             Bytes payload) P9_HOT_PATH;
+  // Conversation-core hooks.
+  QLock& conv_lock() override RETURN_CAPABILITY(lock_) { return lock_; }
+  bool IdleLocked() override REQUIRES(lock_) { return state_ == State::kClosed; }
+  bool ListeningLocked() override REQUIRES(lock_) { return state_ == State::kListening; }
+  bool ReadyLocked() override REQUIRES(lock_) { return state_ == State::kEstablished; }
+  Status ConnectLocked(uint16_t port, uint32_t isn) override REQUIRES(lock_);
+  void AnnounceLocked() override REQUIRES(lock_) { state_ = State::kListening; }
+  bool OpenLocked(IpSegment& seg, uint32_t isn, IpConv* listener) override REQUIRES(lock_);
+  void CloseLocked() override REQUIRES(lock_);
+  void DropLocked() override REQUIRES(lock_) { state_ = State::kClosed; }
+  void RecycleLocked() override REQUIRES(lock_);
+  void TimerLocked() override REQUIRES(lock_);
+  Status SendMessage(Bytes payload) override P9_HOT_PATH MAY_BLOCK;  // window sleep
+  void Input(IpSegment seg) override P9_HOT_PATH;
+
   void HandleAckLocked(uint32_t ack) REQUIRES(lock_);
-  void DeliverDataLocked(uint32_t id, Bytes payload, bool is_query,
-                         std::vector<BlockPtr>* deliveries) P9_HOT_PATH REQUIRES(lock_);
+  void DeliverDataLocked(uint32_t id, Bytes payload, std::vector<BlockPtr>* deliveries)
+      P9_HOT_PATH REQUIRES(lock_);
   Status EmitLocked(IlType type, uint32_t id, uint32_t ack, const Bytes& payload)
       REQUIRES(lock_);
-  void ArmTimerLocked(std::chrono::microseconds delay) REQUIRES(lock_);
-  void TimerFire();
   std::chrono::microseconds RtoLocked() const REQUIRES(lock_);
   void RttSampleLocked(std::chrono::microseconds sample) REQUIRES(lock_);
-  void HangupLocked() REQUIRES(lock_);
-  void CompleteHangup();  // drains hangup_pending_: stream hangup, then free the slot
-  void Recycle();
+  // The handshake completed: established, with the backoff reset.
+  void EstablishLocked() REQUIRES(lock_);
 
-  IlProto* proto_;
   // Conversation lock: ordered after il.proto (demux holds both), before
   // stream.queue (delivery) and timer (ArmTimerLocked).
   QLock lock_{"il.conv"};
-  Rendez ready_;     // connect handshake completion
-  Rendez window_;    // sender window space
-  Rendez incoming_;  // pending calls on a listening conv
 
   State state_ GUARDED_BY(lock_) = State::kClosed;
-  bool slot_free_ GUARDED_BY(lock_) = true;  // available for Clone()
-  bool dying_ GUARDED_BY(lock_) = false;     // proto teardown: never re-arm the timer
-  // Set by HangupLocked; drained by callers *after* dropping lock_, because
-  // Stream::Hangup takes the stream chain lock, which the write path holds
-  // while taking lock_ (the opposite order).
-  bool hangup_pending_ GUARDED_BY(lock_) = false;
-
-  Ipv4Addr laddr_ GUARDED_BY(lock_), raddr_ GUARDED_BY(lock_);
-  uint16_t lport_ GUARDED_BY(lock_) = 0, rport_ GUARDED_BY(lock_) = 0;
 
   // Send side.
   uint32_t start_ GUARDED_BY(lock_) = 0;  // initial sequence chosen at handshake
@@ -154,7 +131,6 @@ class IlConv : public NetConv {
   std::deque<Unacked> unacked_ GUARDED_BY(lock_);
 
   // Receive side.
-  uint32_t rstart_ GUARDED_BY(lock_) = 0;
   uint32_t recvd_ GUARDED_BY(lock_) = 0;  // highest in-sequence id received
   std::map<uint32_t, Bytes> out_of_order_ GUARDED_BY(lock_);
 
@@ -163,7 +139,6 @@ class IlConv : public NetConv {
   std::chrono::microseconds srtt_ GUARDED_BY(lock_){0};
   std::chrono::microseconds mdev_ GUARDED_BY(lock_){0};
   int backoff_ GUARDED_BY(lock_) = 0;
-  TimerId timer_ GUARDED_BY(lock_) = kNoTimer;
   TimerWheel::Clock::time_point last_rexmit_ GUARDED_BY(lock_){};
   uint32_t last_rexmit_id_ GUARDED_BY(lock_) = 0;
   int sync_tries_ GUARDED_BY(lock_) = 0;
@@ -173,51 +148,35 @@ class IlConv : public NetConv {
   // (faster than waiting out the full backoff ladder on a dead link).
   int unanswered_queries_ GUARDED_BY(lock_) = 0;
 
-  std::deque<int> pending_ GUARDED_BY(lock_);  // incoming calls (listening conv)
-  std::string err_ GUARDED_BY(lock_);          // why the conversation died
   IlConvMetrics metrics_;  // atomic counters; no lock needed
 };
 
-class IlProto : public NetProto, public ProtoFiles {
+class IlProto : public IpProto {
  public:
   explicit IlProto(IpStack* ip);
-  ~IlProto() override;
+  ~IlProto() override { Stop(); }
 
   std::string name() override { return "il"; }
-  Result<NetConv*> Clone() override;
-  NetConv* Conv(size_t index) override;
-  size_t ConvCount() override;
 
-  // ProtoFiles: the standard six plus a stats file with the per-conversation
-  // counters (retransmits, queries, deadman kills) tests assert on.
+  // The standard six plus a stats file with the per-conversation counters
+  // (retransmits, queries, deadman kills) tests assert on.
   std::vector<std::string> ConvFileNames() override {
     return {"ctl", "data", "listen", "local", "remote", "status", "stats"};
   }
   Result<std::string> InfoText(NetConv* conv, const std::string& file) override;
 
-  IpStack* ip() { return ip_; }
-
-  // Crash semantics (node lifecycle): abandon every conversation abruptly —
-  // queues hung up, listeners dropped, blocked users woken with `why` — and
-  // emit nothing on the wire, so the peer learns of the death only through
-  // its own deadman/keepalive machinery.  Call after IpStack::Unplug().
-  void Abort(const std::string& why) MAY_BLOCK;
-
  private:
-  friend class IlConv;
+  QLock& proto_lock() override RETURN_CAPABILITY(lock_) { return lock_; }
+  std::unique_ptr<NetConv> NewConv(int index) override {
+    return std::make_unique<IlConv>(this, index);
+  }
+  bool Parse(IpPacket& pkt, IpSegment* seg) override P9_HOT_PATH;
+  bool Opens(const IpSegment& seg) override {
+    return static_cast<IlType>(seg.flags) == IlType::kSync;
+  }
+  void NobodyHome(const IpSegment& seg) override;
 
-  void Input(IpPacket&& pkt) P9_HOT_PATH;
-  Result<IlConv*> AllocConv();
-  IlConv* SpawnFromSync(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
-                        uint32_t peer_id, IlConv* listener);
-  void SendReset(Ipv4Addr laddr, Ipv4Addr raddr, uint16_t lport, uint16_t rport,
-                 uint32_t id, uint32_t ack);
-
-  IpStack* ip_;
   QLock lock_{"il.proto"};
-  std::vector<std::unique_ptr<IlConv>> convs_ GUARDED_BY(lock_);
-  PortAlloc ports_ GUARDED_BY(lock_);
-  Rng isn_rng_ GUARDED_BY(lock_){0xc0ffee};
 };
 
 }  // namespace plan9

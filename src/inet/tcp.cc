@@ -27,18 +27,6 @@ constexpr auto kTimeWait = std::chrono::microseconds(250'000);
 constexpr int kMaxHandshakeTries = 8;
 constexpr int kMaxBackoff = 16;
 
-void Put16(uint8_t* p, uint16_t v) {
-  p[0] = static_cast<uint8_t>(v >> 8);
-  p[1] = static_cast<uint8_t>(v);
-}
-uint16_t Get16(const uint8_t* p) { return static_cast<uint16_t>(p[0] << 8 | p[1]); }
-void Put32(uint8_t* p, uint32_t v) {
-  Put16(p, static_cast<uint16_t>(v >> 16));
-  Put16(p + 2, static_cast<uint16_t>(v));
-}
-uint32_t Get32(const uint8_t* p) {
-  return static_cast<uint32_t>(Get16(p)) << 16 | Get16(p + 2);
-}
 
 // Signed sequence comparison.
 bool SeqLt(uint32_t a, uint32_t b) { return static_cast<int32_t>(a - b) < 0; }
@@ -90,29 +78,13 @@ class TcpConv::Module : public StreamModule {
   TcpConv* conv_;
 };
 
-TcpConv::TcpConv(TcpProto* proto, int index) : proto_(proto) {
-  index_ = index;
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
-}
+TcpConv::TcpConv(TcpProto* proto, int index) : IpConv(proto, index) {}
 
-TcpConv::~TcpConv() {
-  TimerId t;
-  {
-    QLockGuard guard(lock_);
-    t = timer_;
-    timer_ = kNoTimer;
-  }
-  if (t != kNoTimer) {
-    TimerWheel::Default().Cancel(t);
-  }
-}
+std::unique_ptr<StreamModule> TcpConv::NewModule() { return std::make_unique<Module>(this); }
 
-void TcpConv::Recycle() {
-  QLockGuard guard(lock_);
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
+void TcpConv::RecycleLocked() {
+  IpConv::RecycleLocked();
   state_ = State::kClosed;
-  laddr_ = raddr_ = Ipv4Addr{};
-  lport_ = rport_ = 0;
   iss_ = snd_una_ = snd_nxt_ = 0;
   snd_wnd_ = kSendWindow;
   send_buf_.clear();
@@ -123,9 +95,7 @@ void TcpConv::Recycle() {
   srtt_ = mdev_ = std::chrono::microseconds(0);
   backoff_ = 0;
   handshake_tries_ = 0;
-  pending_.clear();
-  listener_backref_ = nullptr;
-  err_.clear();
+  listener_ = nullptr;
   metrics_.Reset();
 }
 
@@ -157,52 +127,8 @@ const char* TcpConv::StateNameLocked() const {
   return "?";
 }
 
-Status TcpConv::Ctl(const std::string& msg) {
-  auto words = Tokenize(msg);
-  if (words.empty()) {
-    return Error(kErrBadCtl);
-  }
-  if (words[0] == "connect" && words.size() >= 2) {
-    P9_ASSIGN_OR_RETURN(HostPort hp, ParseConnectAddr(words[1]));
-    return StartConnect(hp);
-  }
-  if (words[0] == "announce" && words.size() >= 2) {
-    P9_ASSIGN_OR_RETURN(uint16_t port, ParseAnnounceAddr(words[1]));
-    QLockGuard guard(lock_);
-    if (state_ != State::kClosed) {
-      return Error("connection already in use");
-    }
-    lport_ = port;
-    state_ = State::kListen;
-    return Status::Ok();
-  }
-  if (words[0] == "hangup" || words[0] == "reject") {
-    CloseUser();
-    return Status::Ok();
-  }
-  if (words[0] == "accept") {
-    return Status::Ok();
-  }
-  return Error(kErrBadCtl);
-}
-
-Status TcpConv::StartConnect(const HostPort& dest) {
-  P9_ASSIGN_OR_RETURN(Ipv4Addr laddr, proto_->ip()->SourceFor(dest.addr));
-  uint16_t ephemeral;
-  uint32_t isn;
-  {
-    QLockGuard pguard(proto_->lock_);
-    ephemeral = proto_->ports_.Next();
-    isn = static_cast<uint32_t>(proto_->isn_rng_.Next());
-  }
-  QLockGuard guard(lock_);
-  if (state_ != State::kClosed) {
-    return Error("connection already in use");
-  }
-  laddr_ = laddr;
-  raddr_ = dest.addr;
-  lport_ = ephemeral;
-  rport_ = dest.port;
+Status TcpConv::ConnectLocked(uint16_t port, uint32_t isn) {
+  lport_ = port;
   iss_ = isn;
   snd_una_ = iss_;
   snd_nxt_ = iss_ + 1;  // SYN consumes one sequence number
@@ -213,47 +139,18 @@ Status TcpConv::StartConnect(const HostPort& dest) {
   return Status::Ok();
 }
 
-Status TcpConv::WaitReady() {
-  QLockGuard guard(lock_);
-  if (state_ == State::kListen) {
-    return Status::Ok();
-  }
-  bool done = ready_.SleepFor(lock_, std::chrono::seconds(15), [&]() REQUIRES(lock_) {
-    return state_ == State::kEstablished || state_ == State::kClosed ||
-           state_ == State::kCloseWait;
-  });
-  if (state_ == State::kEstablished || state_ == State::kCloseWait) {
-    return Status::Ok();
-  }
-  if (!done) {
-    return Error(kErrTimedOut);
-  }
-  return Error(err_.empty() ? std::string(kErrConnRefused) : err_);
-}
-
-Result<int> TcpConv::Listen() {
-  QLockGuard guard(lock_);
-  if (state_ != State::kListen) {
-    return Error("not announced");
-  }
-  incoming_.Sleep(lock_, [&]() REQUIRES(lock_) { return !pending_.empty() || state_ == State::kClosed; });
-  if (state_ == State::kClosed) {
-    return Error(kErrHungup);
-  }
-  int conv = pending_.front();
-  pending_.pop_front();
-  return conv;
-}
-
-std::string TcpConv::Local() {
-  QLockGuard guard(lock_);
-  Ipv4Addr shown = laddr_.IsUnspecified() ? proto_->ip()->PrimaryAddr() : laddr_;
-  return StrFormat("%s %u\n", IpToString(shown).c_str(), lport_);
-}
-
-std::string TcpConv::Remote() {
-  QLockGuard guard(lock_);
-  return StrFormat("%s %u\n", IpToString(raddr_).c_str(), rport_);
+bool TcpConv::OpenLocked(IpSegment& seg, uint32_t isn, IpConv* listener) {
+  state_ = State::kSynRcvd;
+  irs_ = seg.seq;
+  rcv_nxt_ = seg.seq + 1;
+  iss_ = isn;
+  snd_una_ = isn;
+  snd_nxt_ = isn + 1;
+  // The call is queued for Listen() once the handshake completes.
+  listener_ = static_cast<TcpConv*>(listener);
+  EmitLocked(kSyn | kAck, isn, 0, 0);
+  ArmTimerLocked(RtoLocked());
+  return false;
 }
 
 std::string TcpConv::StatusText() {
@@ -261,7 +158,7 @@ std::string TcpConv::StatusText() {
   // The paper's one-line `cat status` shape, extended with the addresses and
   // byte counts every protocol now reports uniformly.
   const char* mode = lport_ != 0 && rport_ == 0 ? "announce" : "connect";
-  Ipv4Addr shown = laddr_.IsUnspecified() ? proto_->ip()->PrimaryAddr() : laddr_;
+  Ipv4Addr shown = laddr_.IsUnspecified() ? ip()->PrimaryAddr() : laddr_;
   return StrFormat("tcp/%d %d %s %s %s!%u %s!%u tx %llu rx %llu%s\n", index_,
                    refs.load(), StateNameLocked(), mode,
                    IpToString(shown).c_str(), lport_, IpToString(raddr_).c_str(),
@@ -276,80 +173,39 @@ std::chrono::microseconds TcpConv::Srtt() {
   return srtt_;
 }
 
-void TcpConv::CloseUser() {
-  std::deque<int> orphans;
-  bool hangup = false;
-  {
-    QLockGuard guard(lock_);
-    switch (state_) {
-      case State::kEstablished:
-        state_ = State::kFinWait1;
-        fin_pending_ = true;
-        MaybeSendFinLocked();
-        break;
-      case State::kCloseWait:
-        state_ = State::kLastAck;
-        fin_pending_ = true;
-        MaybeSendFinLocked();
-        break;
-      case State::kListen:
-        orphans.swap(pending_);
-        state_ = State::kClosed;
-        ResetLocked("");
-        break;
-      case State::kSynSent:
-      case State::kSynRcvd:
-        state_ = State::kClosed;
-        ResetLocked("");
-        break;
-      default:
-        break;
-    }
-    hangup = std::exchange(hangup_pending_, false);
-  }
-  if (hangup) {
-    CompleteHangup();
-  }
-  ready_.Wakeup();
-  sendbuf_space_.Wakeup();
-  incoming_.Wakeup();
-  for (int idx : orphans) {
-    if (NetConv* c = proto_->Conv(static_cast<size_t>(idx)); c != nullptr) {
-      c->CloseUser();
-    }
+void TcpConv::CloseLocked() {
+  switch (state_) {
+    case State::kEstablished:
+      state_ = State::kFinWait1;
+      fin_pending_ = true;
+      MaybeSendFinLocked();
+      break;
+    case State::kCloseWait:
+      state_ = State::kLastAck;
+      fin_pending_ = true;
+      MaybeSendFinLocked();
+      break;
+    case State::kListen:
+    case State::kSynSent:
+    case State::kSynRcvd:
+      ResetLocked("");
+      break;
+    default:
+      break;
   }
 }
 
 void TcpConv::ResetLocked(const std::string& why) {
-  if (!why.empty() && err_.empty()) {
-    err_ = why;
-  }
   state_ = State::kClosed;
   send_buf_.clear();
-  // Not stream_->Hangup() here: that takes the stream chain lock, which the
-  // user write path holds while acquiring lock_.  Callers drain the flag
-  // once lock_ is dropped.
-  hangup_pending_ = true;
-  if (timer_ != kNoTimer) {
-    TimerWheel::Default().Cancel(timer_);
-    timer_ = kNoTimer;
-  }
-}
-
-void TcpConv::CompleteHangup() {
-  stream_->Hangup();
-  // Publish the slot only now: AllocConv may Recycle() a free slot, which
-  // replaces stream_ — that must not happen while the old stream is still
-  // delivering the hangup.
-  QLockGuard guard(lock_);
-  slot_free_ = true;
+  HangupLocked(why);
 }
 
 Status TcpConv::QueueBytes(const uint8_t* data, size_t n) {
   size_t queued = 0;
   while (queued < n) {
     QLockGuard guard(lock_);
-    sendbuf_space_.Sleep(lock_, [&]() REQUIRES(lock_) {
+    window_.Sleep(lock_, [&]() REQUIRES(lock_) {
       return send_buf_.size() < kSendBufMax ||
              (state_ != State::kEstablished && state_ != State::kCloseWait);
     });
@@ -391,7 +247,7 @@ void TcpConv::TrySendLocked() {
     metrics_.bytes_sent.Inc(can_send);
   }
   MaybeSendFinLocked();
-  if (snd_nxt_ != snd_una_ && timer_ == kNoTimer) {
+  if (snd_nxt_ != snd_una_ && !TimerArmedLocked()) {
     ArmTimerLocked(RtoLocked());
   }
 }
@@ -407,7 +263,7 @@ void TcpConv::MaybeSendFinLocked() {
   EmitLocked(kFin | kAck, snd_nxt_, 0, 0);
   snd_nxt_ += 1;  // FIN consumes a sequence number
   fin_sent_ = true;
-  if (timer_ == kNoTimer) {
+  if (!TimerArmedLocked()) {
     ArmTimerLocked(RtoLocked());
   }
 }
@@ -429,7 +285,7 @@ void TcpConv::EmitLocked(uint16_t flags, uint32_t seq, size_t payload_off,
   }
   Put16(h + 16, InetChecksum(pkt.data(), pkt.size()));
   metrics_.segs_sent.Inc();
-  (void)proto_->ip()->Send(kIpProtoTcp, laddr_, raddr_, pkt);
+  (void)ip()->Send(kIpProtoTcp, laddr_, raddr_, pkt);
 }
 
 std::chrono::microseconds TcpConv::RtoLocked() const {
@@ -454,19 +310,7 @@ void TcpConv::RttSampleLocked(std::chrono::microseconds sample) {
   mdev_ += (std::chrono::microseconds(std::abs(err.count())) - mdev_) / 4;
 }
 
-void TcpConv::ArmTimerLocked(std::chrono::microseconds delay) {
-  if (dying_) {
-    return;
-  }
-  if (timer_ != kNoTimer) {
-    TimerWheel::Default().Cancel(timer_);
-  }
-  timer_ = TimerWheel::Default().Schedule(delay, [this] { TimerFire(); });
-}
-
-void TcpConv::TimerFire() {
-  QLockGuard guard(lock_);
-  timer_ = kNoTimer;
+void TcpConv::TimerLocked() {
   switch (state_) {
     case State::kSynSent:
     case State::kSynRcvd:
@@ -495,18 +339,11 @@ void TcpConv::TimerFire() {
       break;
     case State::kTimeWait:
       state_ = State::kClosed;
-      slot_free_ = true;
+      HangupLocked();
       break;
     default:
       break;
   }
-  bool hangup = std::exchange(hangup_pending_, false);
-  guard.Unlock();
-  if (hangup) {
-    CompleteHangup();
-  }
-  ready_.Wakeup();
-  sendbuf_space_.Wakeup();
 }
 
 void TcpConv::RetransmitLocked() {
@@ -554,10 +391,7 @@ void TcpConv::ProcessAckLocked(uint32_t ack, uint16_t wnd) {
           TimerWheel::Clock::now() - rtt_seg_sent_));
     }
     if (snd_una_ == snd_nxt_) {
-      if (timer_ != kNoTimer) {
-        TimerWheel::Default().Cancel(timer_);
-        timer_ = kNoTimer;
-      }
+      CancelTimerLocked();
     } else {
       ArmTimerLocked(RtoLocked());
     }
@@ -624,11 +458,15 @@ void TcpConv::EnterTimeWaitLocked() {
   ArmTimerLocked(std::chrono::duration_cast<std::chrono::microseconds>(kTimeWait));
 }
 
-void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
-                    uint16_t flags, uint16_t wnd, Bytes payload) {
+void TcpConv::Input(IpSegment seg) {
+  const uint32_t seq = seg.seq;
+  const uint32_t ack = seg.ack;
+  const uint16_t flags = seg.flags;
+  const uint16_t wnd = seg.wnd;
+  Bytes payload = std::move(seg.payload);
   std::vector<BlockPtr> deliveries;
   bool hangup_stream = false;
-  bool hangup_reset = false;
+  bool hangup = false;
   {
     QLockGuard guard(lock_);
     metrics_.segs_received.Inc();
@@ -636,13 +474,9 @@ void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
       if (state_ != State::kClosed && state_ != State::kListen) {
         ResetLocked(state_ == State::kSynSent ? kErrConnRefused : "connection reset");
       }
-      bool hangup = std::exchange(hangup_pending_, false);
+      hangup = std::exchange(hangup_pending_, false);
       guard.Unlock();
-      if (hangup) {
-        CompleteHangup();
-      }
-      ready_.Wakeup();
-      sendbuf_space_.Wakeup();
+      Settle(hangup);
       return;
     }
     switch (state_) {
@@ -655,12 +489,8 @@ void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
           state_ = State::kEstablished;
           handshake_tries_ = 0;
           backoff_ = 0;
-          if (timer_ != kNoTimer) {
-            TimerWheel::Default().Cancel(timer_);
-            timer_ = kNoTimer;
-          }
+          CancelTimerLocked();
           EmitLocked(kAck, snd_nxt_, 0, 0);
-          ready_.Wakeup();
         }
         break;
       case State::kSynRcvd:
@@ -669,21 +499,13 @@ void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
           snd_wnd_ = wnd;
           state_ = State::kEstablished;
           backoff_ = 0;
-          if (timer_ != kNoTimer) {
-            TimerWheel::Default().Cancel(timer_);
-            timer_ = kNoTimer;
-          }
+          CancelTimerLocked();
           // Tell the listener a call is ready for Listen()/accept.
-          if (TcpConv* listener = listener_backref_; listener != nullptr) {
+          if (TcpConv* listener = listener_; listener != nullptr) {
             guard.Unlock();
-            {
-              QLockGuard lguard(listener->lock_);
-              listener->pending_.push_back(index_);
-            }
-            listener->incoming_.Wakeup();
+            listener->QueueCall(index_);
             guard.Lock();
           }
-          ready_.Wakeup();
           // The handshake ACK may carry data; fall through is emulated by
           // reprocessing below.
           bool peer_closed = false;
@@ -726,11 +548,7 @@ void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
           EnterTimeWaitLocked();
         } else if (state_ == State::kLastAck && fin_sent_ && all_sent_acked) {
           state_ = State::kClosed;
-          slot_free_ = true;
-          if (timer_ != kNoTimer) {
-            TimerWheel::Default().Cancel(timer_);
-            timer_ = kNoTimer;
-          }
+          HangupLocked();
         } else if (state_ == State::kEstablished && peer_closed) {
           state_ = State::kCloseWait;
           hangup_stream = true;  // EOF for readers; writes still allowed
@@ -749,122 +567,19 @@ void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
       case State::kClosed:
         break;
     }
-    hangup_reset = std::exchange(hangup_pending_, false);
+    hangup = std::exchange(hangup_pending_, false);
   }
   for (auto& b : deliveries) {
     stream_->DeliverUp(std::move(b));
   }
-  if (hangup_reset) {
-    CompleteHangup();
-  } else if (hangup_stream) {
+  if (hangup_stream && !hangup) {
     // Peer sent FIN: readers see EOF once queued data drains.
     stream_->Hangup();
   }
-  ready_.Wakeup();
-  sendbuf_space_.Wakeup();
+  Settle(hangup);
 }
 
-TcpProto::TcpProto(IpStack* ip) : ip_(ip) {
-  ip_->RegisterProtocol(kIpProtoTcp,
-                        [this](IpPacket&& pkt) { Input(std::move(pkt)); });
-}
-
-void TcpProto::Abort(const std::string& why) {
-  std::vector<TcpConv*> convs;
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      convs.push_back(c.get());
-    }
-  }
-  for (TcpConv* c : convs) {
-    bool hangup = false;
-    {
-      QLockGuard guard(c->lock_);
-      c->dying_ = true;  // a racing TimerFire must not re-arm
-      if (c->state_ != TcpConv::State::kClosed) {
-        c->err_ = why;
-        c->pending_.clear();  // listeners drop their queued calls too
-        c->ResetLocked(why);  // sets kClosed + hangup_pending_, emits nothing
-      } else if (c->timer_ != kNoTimer) {
-        TimerWheel::Default().Cancel(c->timer_);
-        c->timer_ = kNoTimer;
-      }
-      hangup = std::exchange(c->hangup_pending_, false);
-    }
-    if (hangup) {
-      c->CompleteHangup();
-    }
-    c->ready_.Wakeup();
-    c->sendbuf_space_.Wakeup();
-    c->incoming_.Wakeup();
-  }
-  TimerWheel::Default().Drain();
-}
-
-TcpProto::~TcpProto() {
-  ip_->UnregisterProtocol(kIpProtoTcp);
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      TimerId t;
-      {
-        QLockGuard cguard(c->lock_);
-        c->dying_ = true;
-        t = c->timer_;
-        c->timer_ = kNoTimer;
-      }
-      if (t != kNoTimer) {
-        TimerWheel::Default().Cancel(t);
-      }
-    }
-  }
-  TimerWheel::Default().Drain();
-}
-
-Result<NetConv*> TcpProto::Clone() {
-  auto conv = AllocConv();
-  if (!conv.ok()) {
-    return conv.error();
-  }
-  return static_cast<NetConv*>(*conv);
-}
-
-Result<TcpConv*> TcpProto::AllocConv() {
-  QLockGuard guard(lock_);
-  for (auto& c : convs_) {
-    bool reusable;
-    {
-      QLockGuard cguard(c->lock_);
-      reusable =
-          c->slot_free_ && c->state_ == TcpConv::State::kClosed && c->refs.load() == 0;
-    }
-    if (reusable) {
-      c->Recycle();
-      QLockGuard cguard(c->lock_);
-      c->slot_free_ = false;
-      return c.get();
-    }
-  }
-  if (convs_.size() >= MaxConvs()) {
-    return Error(kErrNoConv);
-  }
-  convs_.push_back(std::make_unique<TcpConv>(this, static_cast<int>(convs_.size())));
-  TcpConv* c = convs_.back().get();
-  QLockGuard cguard(c->lock_);
-  c->slot_free_ = false;
-  return c;
-}
-
-NetConv* TcpProto::Conv(size_t index) {
-  QLockGuard guard(lock_);
-  return index < convs_.size() ? convs_[index].get() : nullptr;
-}
-
-size_t TcpProto::ConvCount() {
-  QLockGuard guard(lock_);
-  return convs_.size();
-}
+TcpProto::TcpProto(IpStack* ip) : IpProto(ip, kIpProtoTcp, 0xfeedface) { Start(); }
 
 Result<std::string> TcpProto::InfoText(NetConv* conv, const std::string& file) {
   if (file == "stats") {
@@ -884,116 +599,50 @@ Result<std::string> TcpProto::InfoText(NetConv* conv, const std::string& file) {
     out += StrFormat("rtt: %lld us\n", static_cast<long long>(c->Srtt().count()));
     return out;
   }
-  return ProtoFiles::InfoText(conv, file);
+  return NetProto::InfoText(conv, file);
 }
 
-TcpConv* TcpProto::SpawnFromSyn(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
-                                uint32_t peer_seq, TcpConv* listener) {
-  auto spawned = AllocConv();
-  if (!spawned.ok()) {
-    return nullptr;
-  }
-  TcpConv* nc = *spawned;
-  uint32_t isn;
-  {
-    QLockGuard guard(lock_);
-    isn = static_cast<uint32_t>(isn_rng_.Next());
-  }
-  {
-    QLockGuard guard(nc->lock_);
-    nc->state_ = TcpConv::State::kSynRcvd;
-    nc->laddr_ = dst;
-    nc->lport_ = dport;
-    nc->raddr_ = src;
-    nc->rport_ = sport;
-    nc->irs_ = peer_seq;
-    nc->rcv_nxt_ = peer_seq + 1;
-    nc->iss_ = isn;
-    nc->snd_una_ = isn;
-    nc->snd_nxt_ = isn + 1;
-    nc->listener_backref_ = listener;
-    nc->EmitLocked(kSyn | kAck, isn, 0, 0);
-    nc->ArmTimerLocked(nc->RtoLocked());
-  }
-  return nc;
-}
-
-void TcpProto::SendRst(Ipv4Addr src, Ipv4Addr dst, uint16_t sport, uint16_t dport,
-                       uint32_t ack) {
-  Bytes pkt(kTcpHeaderSize);
-  uint8_t* h = pkt.data();
-  Put16(h, sport);
-  Put16(h + 2, dport);
-  Put32(h + 4, 0);
-  Put32(h + 8, ack);
-  Put16(h + 12, static_cast<uint16_t>(5 << 12 | kRst | kAck));
-  Put16(h + 14, 0);
-  Put16(h + 16, 0);
-  Put16(h + 18, 0);
-  Put16(h + 16, InetChecksum(pkt.data(), pkt.size()));
-  (void)ip_->Send(kIpProtoTcp, src, dst, pkt);
-}
-
-void TcpProto::Input(IpPacket&& pkt) {
-  P9_HOT_ROOT("tcp.input");
+bool TcpProto::Parse(IpPacket& pkt, IpSegment* seg) {
   if (pkt.payload.size() < kTcpHeaderSize) {
-    return;
+    return false;
   }
   const uint8_t* h = pkt.payload.data();
   if (InetChecksum(h, pkt.payload.size()) != 0) {
-    return;
+    return false;
   }
-  uint16_t sport = Get16(h);
-  uint16_t dport = Get16(h + 2);
-  uint32_t seq = Get32(h + 4);
-  uint32_t ack = Get32(h + 8);
   uint16_t off_flags = Get16(h + 12);
-  uint16_t flags = off_flags & 0x3f;
   size_t header_len = static_cast<size_t>(off_flags >> 12) * 4;
   if (header_len < kTcpHeaderSize || header_len > pkt.payload.size()) {
-    return;
+    return false;
   }
-  uint16_t wnd = Get16(h + 14);
+  seg->sport = Get16(h);
+  seg->dport = Get16(h + 2);
+  seg->seq = Get32(h + 4);
+  seg->ack = Get32(h + 8);
+  seg->flags = off_flags & 0x3f;
+  seg->wnd = Get16(h + 14);
   // Reuse the packet's buffer for the payload (shift the header out in
   // place): no allocation on the receive path.
-  Bytes payload = std::move(pkt.payload);
-  payload.erase(payload.begin(), payload.begin() + static_cast<long>(header_len));
+  seg->payload = std::move(pkt.payload);
+  seg->payload.erase(seg->payload.begin(),
+                     seg->payload.begin() + static_cast<long>(header_len));
+  return true;
+}
 
-  TcpConv* conv = nullptr;
-  TcpConv* listener = nullptr;
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      QLockGuard cguard(c->lock_);
-      if (c->state_ != TcpConv::State::kClosed && c->state_ != TcpConv::State::kListen &&
-          c->lport_ == dport && c->rport_ == sport && c->raddr_ == pkt.src) {
-        conv = c.get();
-        break;
-      }
-    }
-    if (conv == nullptr && (flags & kSyn) && !(flags & kAck)) {
-      for (auto& c : convs_) {
-        QLockGuard cguard(c->lock_);
-        if (c->state_ == TcpConv::State::kListen && c->lport_ == dport) {
-          listener = c.get();
-          break;
-        }
-      }
-    }
-  }
-  if (conv != nullptr) {
-    conv->Input(pkt.src, sport, seq, ack, flags, wnd, std::move(payload));
+bool TcpProto::Opens(const IpSegment& seg) { return (seg.flags & kSyn) && !(seg.flags & kAck); }
+
+void TcpProto::NobodyHome(const IpSegment& seg) {
+  if (seg.flags & kRst) {
     return;
   }
-  if (listener != nullptr) {
-    SpawnFromSyn(pkt.dst, pkt.src, dport, sport, seq, listener);
-    return;
-  }
-  // No one home: answer with RST so connects fail fast ("connection
-  // refused") instead of timing out.
-  if (!(flags & kRst)) {
-    SendRst(pkt.dst, pkt.src, dport, sport, seq + 1);
-  }
+  Bytes pkt(kTcpHeaderSize);
+  uint8_t* h = pkt.data();
+  Put16(h, seg.dport);
+  Put16(h + 2, seg.sport);
+  Put32(h + 8, seg.seq + 1);
+  Put16(h + 12, static_cast<uint16_t>(5 << 12 | kRst | kAck));
+  Put16(h + 16, InetChecksum(pkt.data(), pkt.size()));
+  (void)ip()->Send(kIpProtoTcp, seg.dst, seg.src, pkt);
 }
 
 }  // namespace plan9

@@ -117,9 +117,9 @@ void Node::AddIpProtoDirs() {
     return;
   }
   k_->ip_protos_added = true;
-  k_->netdir.Add(k_->tcp.get(), k_->tcp.get());
+  k_->netdir.Add(k_->tcp.get());
   k_->netdir.Add(k_->udp.get());
-  k_->netdir.Add(k_->il.get(), k_->il.get());
+  k_->netdir.Add(k_->il.get());
 }
 
 void Node::DoAddEther(EtherSegment* segment, MacAddr mac, Ipv4Addr addr,
@@ -129,7 +129,7 @@ void Node::DoAddEther(EtherSegment* segment, MacAddr mac, Ipv4Addr addr,
   auto ether = std::make_unique<EtherProto>(
       segment, mac,
       k_->ethers.empty() ? "ether0" : "ether" + std::to_string(k_->ethers.size()));
-  k_->netdir.Add(ether.get(), ether.get());
+  k_->netdir.Add(ether.get());
   k_->ethers.push_back(std::move(ether));
 }
 
@@ -159,7 +159,7 @@ void Node::AddDatakit(DatakitSwitch* dk, const std::string& dk_name) {
 int Node::DoAddCyclone(Wire* wire, Wire::End end) {
   bool first = k_->cyclone.ConvCount() == 0 && k_->cyclone_link_count == 0;
   if (first) {
-    k_->netdir.Add(&k_->cyclone, &k_->cyclone);
+    k_->netdir.Add(&k_->cyclone);
   }
   k_->cyclone_link_count++;
   return k_->cyclone.AddLink(wire, end);

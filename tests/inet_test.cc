@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -229,11 +230,46 @@ TEST_F(IlTest, LargeMessagesFragmentAndReassemble) {
       << "16K exceeds the ether MTU";
 }
 
-TEST_F(IlTest, ConnectToUnannouncedPortTimesOut) {
+TEST_F(IlTest, ConcurrentLongWritesStayWhole) {
+  // Writes over 32K span two blocks, which the message module assembles per
+  // writing kproc: two writers on one conversation never mix their halves.
+  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Dial();
+  constexpr size_t kLen = 40'000;
+  constexpr int kEach = 8;
+  auto writer = [&](uint8_t fill) {
+    Bytes msg(kLen, fill);
+    for (int i = 0; i < kEach; i++) {
+      ASSERT_TRUE(client_conv_->Write(msg.data(), msg.size()).ok());
+    }
+  };
+  std::thread a(writer, 'a'), b(writer, 'b');
+  int as = 0, bs = 0;
+  for (int i = 0; i < 2 * kEach; i++) {
+    auto msg = accepted_->ReadMessage();
+    ASSERT_TRUE(msg.ok());
+    ASSERT_EQ(msg->size(), kLen);
+    uint8_t fill = (*msg)[0];
+    EXPECT_EQ(std::count(msg->begin(), msg->end(), fill), static_cast<long>(kLen));
+    (fill == 'a' ? as : bs)++;
+  }
+  a.join();
+  b.join();
+  EXPECT_EQ(as, kEach);
+  EXPECT_EQ(bs, kEach);
+}
+
+TEST_F(IlTest, ConnectToUnannouncedPortIsRefused) {
+  // A sync nobody listens for is answered with a close: the dial fails in
+  // one round trip, as TCP's does with RST, not after the sync ladder.
   Build(LinkParams{.latency = std::chrono::microseconds(20)});
   auto conv = ail_->Clone().take();
+  auto start = std::chrono::steady_clock::now();
   ASSERT_TRUE(conv->Ctl("connect 135.104.9.6!999").ok());
-  EXPECT_FALSE(conv->WaitReady().ok());
+  auto status = conv->WaitReady();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().message(), kErrConnRefused);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
 TEST_F(IlTest, AdaptiveRttConverges) {

@@ -2,6 +2,7 @@
 // listener-based trivial services.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <thread>
 
@@ -10,6 +11,7 @@
 #include "src/ndb/ndb.h"
 #include "src/svc/exportfs.h"
 #include "src/svc/listen.h"
+#include "src/task/kproc.h"
 #include "src/world/boot.h"
 #include "src/world/node.h"
 
@@ -104,6 +106,43 @@ TEST_F(SvcTest, ExportfsImportRemoteTree) {
   EXPECT_TRUE(names.count("motd"));
   EXPECT_TRUE(names.count("from-helix"));
   EXPECT_TRUE(names.count("ndb"));
+}
+
+TEST_F(SvcTest, SharedIlMountServesConcurrentKprocs) {
+  // Two kprocs of one process share one IL mount: their 9P messages go down
+  // the same conversation stream at once, and every reply must still be the
+  // right one ("a write of less than 32K is guaranteed to be contained by a
+  // single block", so no message may tear another).
+  constexpr int kFiles = 8;
+  for (int i = 0; i < kFiles; i++) {
+    ASSERT_TRUE(musca_->rootfs()
+                    ->WriteFile(StrFormat("lib/f%d", i), StrFormat("file %d of musca", i))
+                    .ok());
+  }
+  auto svc = StartExportfs(std::shared_ptr<Proc>(musca_->NewProc().release()),
+                           "il!*!exportfs");
+  ASSERT_TRUE(svc.ok());
+  auto proc = helix_->NewProcPrivate();
+  ASSERT_TRUE(
+      Import(proc.get(), "il!135.104.9.6!17007", "/lib", "/n/musca", kMRepl).ok());
+
+  std::atomic<int> done{0}, bad{0};
+  auto reader = [&](int seed) {
+    for (int k = 0; k < 150; k++) {
+      int i = (seed + k * 3) % kFiles;
+      auto text = proc->ReadFile(StrFormat("/n/musca/f%d", i));
+      if (!text.ok() || *text != StrFormat("file %d of musca", i)) {
+        bad.fetch_add(1);
+      }
+      done.fetch_add(1);
+    }
+  };
+  {
+    Kproc a("reader-a", [&] { reader(0); });
+    Kproc b("reader-b", [&] { reader(1); });
+  }
+  EXPECT_EQ(done.load(), 300);
+  EXPECT_EQ(bad.load(), 0);
 }
 
 TEST_F(SvcTest, GatewayImportNetParagraph61) {

@@ -329,7 +329,7 @@ TEST_F(WorldTest, EtherSnoopingSeesForeignTraffic) {
 
   // Generate traffic helix -> musca.
   auto client = helix_->NewProc();
-  auto fd = Dial(client.get(), "il!135.104.9.6!99");  // no listener: syncs fly anyway
+  auto fd = Dial(client.get(), "il!135.104.9.6!99");  // refused, but its sync crossed the cable
   (void)fd;
 
   Bytes frame(2048);

@@ -148,7 +148,7 @@ HOT_PATH_SAFE = {
     # copy per message the protocol design requires.
     "IlConv::EmitLocked",
     "TcpConv::EmitLocked",
-    "UdpConv::Output",
+    "UdpConv::SendMessage",
     "CycloneConv::SendMessage",
     "UrpCircuit::SendMessage",
     # 9P framing: WriteMsg length-prefixes the serialized message in place
