@@ -26,7 +26,7 @@ namespace plan9 {
 namespace benchutil {
 
 // Derived block-audit figures (DESIGN.md section 13): payload copies and
-// heap allocations per delimited message, and the block-pool hit rate.
+// heap allocations per delimited message.
 // Written as their own JSON section so a trend job can gate on
 // copies_per_message / allocs_per_message without walking the registry.
 inline std::string RenderBlockAudit() {
@@ -36,8 +36,6 @@ inline std::string RenderBlockAudit() {
   };
   double msgs = v("stream.block.msgs");
   double hot_msgs = v("stream.hot.msgs");
-  double hits = v("stream.block.pool-hit");
-  double misses = v("stream.block.pool-miss");
   std::ostringstream out;
   out.setf(std::ios::fixed);
   out.precision(6);
@@ -47,9 +45,7 @@ inline std::string RenderBlockAudit() {
       << ", \"allocs_per_message\": "
       << (hot_msgs > 0 ? v("stream.hot.allocs") / hot_msgs : 0.0)
       << ", \"alloc_bytes_per_message\": "
-      << (hot_msgs > 0 ? v("stream.hot.alloc-bytes") / hot_msgs : 0.0)
-      << ", \"pool_hit_rate\": "
-      << (hits + misses > 0 ? hits / (hits + misses) : 0.0) << "}";
+      << (hot_msgs > 0 ? v("stream.hot.alloc-bytes") / hot_msgs : 0.0) << "}";
   return out.str();
 }
 

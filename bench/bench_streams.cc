@@ -19,7 +19,7 @@ namespace {
 
 void BM_BlockAllocFree(benchmark::State& state) {
   for (auto _ : state) {
-    auto b = MakeDataBlock(Bytes(1024, 0x11), true);
+    auto b = AllocDataBlock(Bytes(1024, 0x11), true);
     benchmark::DoNotOptimize(b);
   }
 }
@@ -29,7 +29,7 @@ void BM_QueuePutGet(benchmark::State& state) {
   Queue q;
   Bytes payload(1024, 0x22);
   for (auto _ : state) {
-    (void)q.PutNoBlock(MakeDataBlock(payload));
+    (void)q.PutNoBlock(AllocDataBlock(payload));
     auto b = q.Get();
     benchmark::DoNotOptimize(b);
   }

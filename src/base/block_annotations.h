@@ -10,8 +10,8 @@
 // copy all compile cleanly.  These macros make the contract machine-checked:
 //
 //   * P9_CONSUMES(b) — the function takes ownership of block parameter `b`.
-//     tools/lint/plan9lint (blockcheck) verifies the body forwards, pools
-//     (RecycleBlock/DropBlock), resets, or returns the block on EVERY path;
+//     tools/lint/plan9lint (blockcheck) verifies the body forwards, drops
+//     (DropBlock), resets, or returns the block on EVERY path;
 //     an early return that strands it is a finding (block-consume).
 //   * P9_BORROWS(b) — the function inspects block (or block-shaped)
 //     parameter `b` but must not keep it: storing `&b` or binding it to a
@@ -20,9 +20,10 @@
 //     propagates the property transitively over the call graph (callee
 //     direction: everything reachable from a hot root is hot) and flags
 //     copies and allocations inside hot functions: CloneBlock, Block::Text,
-//     Bytes/std::string/std::vector construction, and non-pool
+//     Bytes/std::string/std::vector construction, and the copying
 //     MakeDataBlock (hot-path-copy).  Deliberate exceptions (the single
-//     user-to-kernel copy in Stream::Write, frame serialization) live in a
+//     user-to-kernel copy in Stream::Write, the one block node per message
+//     in AllocDataBlock, frame serialization) live in a
 //     short whitelist in tools/lint/p9lint/config.py, mirroring the
 //     kSleepableClass grammar for locks.
 //
@@ -45,7 +46,7 @@
 #include "src/base/thread_annotations.h"
 
 // Ownership of block parameter `b` transfers to the callee; the callee must
-// forward, pool, or explicitly drop it on every path.
+// forward or explicitly drop it on every path.
 #define P9_CONSUMES(b) P9_THREAD_ANNOTATION(annotate("plan9::consumes:" #b))
 
 // Block parameter `b` is inspected only for the duration of the call; the

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/csdns/dns.h"
+#include "src/csdns/queryfs.h"
 #include "src/inet/ipaddr.h"
 #include "src/ndb/ndb.h"
 #include "src/ninep/server.h"
@@ -69,18 +70,12 @@ class CsTranslator {
 };
 
 // /net/cs as a one-file tree to union-mount onto /net.
-class CsVfs : public Vfs {
+class CsVfs : public QueryVfs {
  public:
   explicit CsVfs(CsConfig config)
-      : translator_(std::make_shared<CsTranslator>(std::move(config))) {}
-
-  Result<std::shared_ptr<Vnode>> Attach(const std::string& uname,
-                                        const std::string& aname) override;
-
-  const CsTranslator* translator() const { return translator_.get(); }
-
- private:
-  std::shared_ptr<CsTranslator> translator_;
+      : QueryVfs("cs", 0xc0, 0xc5,
+                 [t = std::make_shared<const CsTranslator>(std::move(config))](
+                     const std::string& q) { return t->Query(q); }) {}
 };
 
 }  // namespace plan9

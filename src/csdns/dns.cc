@@ -79,114 +79,19 @@ Result<std::vector<std::string>> DnsResolver::AskUpstream(const std::string& dom
   return values;
 }
 
-namespace {
-
-// The /net/dns file.  Write a query, then read record lines one per read;
-// a read at offset 0 (re)starts the enumeration.
-class DnsFileVnode : public Vnode {
- public:
-  explicit DnsFileVnode(DnsResolver* resolver) : resolver_(resolver) {}
-
-  Qid qid() override { return Qid{0x0d2f, 0}; }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = "dns";
-    d.qid = qid();
-    d.mode = 0666;
-    d.type = 'x';
-    return d;
+Result<std::vector<std::string>> DnsVfs::Query(DnsResolver* resolver,
+                                              const std::string& query) {
+  auto fields = Tokenize(query);
+  if (fields.empty()) {
+    return Error("dns: empty query");
   }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    return Error(kErrNotDir);
+  const std::string& domain = fields[0];
+  std::string type = fields.size() >= 2 ? fields[1] : "ip";
+  P9_ASSIGN_OR_RETURN(auto values, resolver->Resolve(domain, type));
+  for (auto& v : values) {
+    v = domain + " " + type + " " + v;
   }
-
-  Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    QLockGuard guard(lock_);
-    if (offset == 0) {
-      next_ = 0;
-    }
-    if (!error_.empty()) {
-      return Error(error_);
-    }
-    if (next_ >= lines_.size()) {
-      return Bytes{};
-    }
-    return ToBytes(lines_[next_++]);
-  }
-
-  Result<uint32_t> Write(uint64_t offset, const Bytes& data) override {
-    auto fields = Tokenize(ToString(data));
-    if (fields.empty()) {
-      return Error("dns: empty query");
-    }
-    std::string domain = fields[0];
-    std::string type = fields.size() >= 2 ? fields[1] : "ip";
-    auto values = resolver_->Resolve(domain, type);
-    QLockGuard guard(lock_);
-    lines_.clear();
-    next_ = 0;
-    error_.clear();
-    if (!values.ok()) {
-      error_ = values.error().message();
-      return Error(error_);
-    }
-    for (auto& v : *values) {
-      lines_.push_back(domain + " " + type + " " + v);
-    }
-    return static_cast<uint32_t>(data.size());
-  }
-
- private:
-  DnsResolver* resolver_;
-  QLock lock_{"dns.file"};
-  std::vector<std::string> lines_ GUARDED_BY(lock_);
-  size_t next_ GUARDED_BY(lock_) = 0;
-  std::string error_ GUARDED_BY(lock_);
-};
-
-class DnsRootVnode : public Vnode, public std::enable_shared_from_this<DnsRootVnode> {
- public:
-  explicit DnsRootVnode(DnsResolver* resolver) : resolver_(resolver) {}
-
-  Qid qid() override { return Qid{0x0d00 | kQidDirBit, 0}; }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = "dns";
-    d.qid = qid();
-    d.mode = kDmDir | 0555;
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    if (name == "." || name == "..") {
-      return std::shared_ptr<Vnode>(shared_from_this());
-    }
-    if (name == "dns") {
-      return std::shared_ptr<Vnode>(std::make_shared<DnsFileVnode>(resolver_));
-    }
-    return Error(kErrNotExist);
-  }
-
-  Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    std::vector<Dir> entries(1);
-    entries[0].name = "dns";
-    entries[0].qid = Qid{0x0d2f, 0};
-    entries[0].mode = 0666;
-    return PackDirEntries(entries, offset, count);
-  }
-
- private:
-  DnsResolver* resolver_;
-};
-
-}  // namespace
-
-Result<std::shared_ptr<Vnode>> DnsVfs::Attach(const std::string& uname,
-                                              const std::string& aname) {
-  return std::shared_ptr<Vnode>(std::make_shared<DnsRootVnode>(resolver_.get()));
+  return values;
 }
 
 Result<std::unique_ptr<Service>> StartDnsServer(std::shared_ptr<Proc> proc,

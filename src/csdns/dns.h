@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/base/thread_annotations.h"
+#include "src/csdns/queryfs.h"
 #include "src/ndb/ndb.h"
 #include "src/obs/metrics.h"
 #include "src/ninep/server.h"
@@ -65,19 +66,17 @@ class DnsResolver {
   obs::Counter upstream_queries_;
 };
 
-// The /net/dns file server: a one-file tree to union-mount onto /net.
-class DnsVfs : public Vfs {
+// The /net/dns file server: a one-file tree to union-mount onto /net.  A
+// query "domain [type]" reads back one "domain type value" line per record.
+class DnsVfs : public QueryVfs {
  public:
   explicit DnsVfs(std::shared_ptr<DnsResolver> resolver)
-      : resolver_(std::move(resolver)) {}
-
-  Result<std::shared_ptr<Vnode>> Attach(const std::string& uname,
-                                        const std::string& aname) override;
-
-  DnsResolver* resolver() { return resolver_.get(); }
+      : QueryVfs("dns", 0x0d00, 0x0d2f,
+                 [resolver](const std::string& q) { return Query(resolver.get(), q); }) {}
 
  private:
-  std::shared_ptr<DnsResolver> resolver_;
+  static Result<std::vector<std::string>> Query(DnsResolver* resolver,
+                                                const std::string& query);
 };
 
 // Run an authoritative DNS service answering from `db` on udp!*!53 within

@@ -79,6 +79,11 @@ void NetConv::CloseUser() {
     QLockGuard guard(conv_lock());
     orphans.swap(calls_);
     CloseLocked();
+    // Still idle and never hung up (a clone nobody connected): no close is
+    // coming from the protocol, so end it here and publish the slot.
+    if (IdleLocked() && !hungup_) {
+      HangupLocked();
+    }
     hangup = std::exchange(hangup_pending_, false);
   }
   Detach();
@@ -113,6 +118,7 @@ void NetConv::HangupLocked(std::string_view why) {
     err_ = why;
   }
   hangup_pending_ = true;
+  hungup_ = true;
   CancelTimerLocked();
 }
 
@@ -162,6 +168,7 @@ bool NetConv::Claim() {
     return false;
   }
   slot_free_ = false;
+  hungup_ = false;
   stream_ = std::make_unique<Stream>(NewModule());
   err_.clear();
   calls_.clear();
@@ -245,7 +252,7 @@ void MessageModule::DownPut(BlockPtr b) {
     // The whole write in one block: its buffer becomes the message.
     msg = std::move(b->data);
     msg.erase(msg.begin(), msg.begin() + static_cast<long>(b->rp));
-    RecycleBlock(std::move(b));
+    DropBlock(std::move(b));
   } else if (!Coalesce(std::move(b), &msg)) {
     return;  // more of this write to come
   }
@@ -268,7 +275,7 @@ bool MessageModule::Coalesce(BlockPtr b, Bytes* msg) {
   }
   it->second.insert(it->second.end(), b->payload(), b->payload() + b->size());
   bool delim = b->delim;
-  RecycleBlock(std::move(b));
+  DropBlock(std::move(b));
   if (!delim) {
     return false;
   }

@@ -82,7 +82,6 @@ class NetConv {
     return stream_->Write(data, n);
   }
   Result<size_t> Read(uint8_t* buf, size_t n) MAY_BLOCK { return stream_->Read(buf, n); }
-  Result<Bytes> ReadMessage() MAY_BLOCK { return stream_->ReadMessage(); }
 
   // Blocks until an incoming call arrives on this announced conversation;
   // returns the index of the newly created conversation.
@@ -224,6 +223,7 @@ class NetConv {
   NetProto* const proto_;
   // Guarded by conv_lock().
   bool slot_free_ = true;  // hangup complete: the protocol is done with it
+  bool hungup_ = false;    // HangupLocked ran since the slot was claimed
   bool dying_ = false;     // proto teardown: never re-arm the timer
   TimerId timer_ = kNoTimer;
   std::deque<int> calls_;  // the listen queue

@@ -68,7 +68,7 @@ class TcpConv::Module : public StreamModule {
       return;
     }
     Status s = conv_->QueueBytes(b->payload(), b->size());
-    RecycleBlock(std::move(b));  // bytes are in the send buffer; pool the node
+    DropBlock(std::move(b));  // the bytes are in the send buffer
     if (!s.ok()) {
       P9_LOG(kDebug) << "tcp send: " << s.error().message();
     }

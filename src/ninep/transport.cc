@@ -84,7 +84,7 @@ Result<Bytes> PipeTransport::ReadMsg() {
   } else {
     out.assign(b->payload(), b->payload() + b->size());
   }
-  RecycleBlock(std::move(b));
+  DropBlock(std::move(b));
   return out;
 }
 

@@ -76,7 +76,6 @@ Result<EtherFrame> EtherFrame::Unpack(const Bytes& raw) {
 EtherSegment::EtherSegment(LinkParams params) : shared_(std::make_shared<Shared>()) {
   auto now = TimerWheel::Clock::now();
   shared_->params = params;
-  shared_->rng = Rng(params.seed);
   shared_->faults.Reconfigure(params.faults, params.seed, now);
   shared_->busy_until = now;
 }
@@ -129,10 +128,6 @@ Status EtherSegment::Send(const EtherFrame& frame) {
     }
     shared->stats.frames_sent.Inc();
     shared->stats.bytes_sent.Inc(frame_size);
-    if (shared->params.loss_rate > 0 && shared->rng.Chance(shared->params.loss_rate)) {
-      shared->stats.frames_dropped.Inc();
-      return Status::Ok();
-    }
     auto now = TimerWheel::Clock::now();
     auto fault = shared->faults.Evaluate(now, delivered.payload.size());
     if (fault.drop) {

@@ -16,7 +16,6 @@
 
 #include "src/base/bytes.h"
 #include "src/base/thread_annotations.h"
-#include "src/base/rand.h"
 #include "src/base/result.h"
 #include "src/sim/faults.h"
 #include "src/sim/medium.h"
@@ -81,7 +80,6 @@ class EtherSegment {
     // with it dropped.
     QLock lock{"sim.ether"};
     LinkParams params GUARDED_BY(lock);
-    Rng rng GUARDED_BY(lock){1};
     FaultInjector faults GUARDED_BY(lock);
     TimerWheel::Clock::time_point busy_until GUARDED_BY(lock);
     MediaStats stats;  // atomic counters; readable without the lock

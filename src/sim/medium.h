@@ -3,8 +3,8 @@
 // Plan 9's networks span "a hierarchy of network speeds": 125 Mb/s Cyclone
 // fiber, 10 Mb/s Ethernet, Datakit circuits, ISDN and 9600-baud serial
 // lines.  Every simulated medium is configured with a LinkParams describing
-// bandwidth, propagation latency and loss.  Loss draws from a seeded Rng so
-// every experiment replays deterministically.
+// bandwidth, propagation latency and a FaultProfile (loss and worse), whose
+// seeded Rng makes every experiment replay deterministically.
 #ifndef SRC_SIM_MEDIUM_H_
 #define SRC_SIM_MEDIUM_H_
 
@@ -21,10 +21,7 @@ struct LinkParams {
   uint64_t bandwidth_bps = 0;
   // One-way propagation delay.
   std::chrono::microseconds latency{0};
-  // Probability each frame is silently dropped (legacy uniform knob; the
-  // FaultProfile below models everything richer).
-  double loss_rate = 0.0;
-  // Seed for the loss/jitter Rng.
+  // Seed for the fault injector's Rng.
   uint64_t seed = 1;
   // Maximum frame size; larger sends fail (media enforce their MTU).
   size_t mtu = 64 * 1024;

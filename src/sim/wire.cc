@@ -18,10 +18,8 @@ struct Wire::Shared {
 Wire::Wire(LinkParams a_to_b, LinkParams b_to_a) : shared_(std::make_shared<Shared>()) {
   auto now = TimerWheel::Clock::now();
   shared_->dirs[kA].params = a_to_b;
-  shared_->dirs[kA].rng = Rng(a_to_b.seed);
   shared_->dirs[kA].faults.Reconfigure(a_to_b.faults, a_to_b.seed, now);
   shared_->dirs[kB].params = b_to_a;
-  shared_->dirs[kB].rng = Rng(b_to_a.seed ^ 0x517cc1b727220a95ULL);
   shared_->dirs[kB].faults.Reconfigure(b_to_a.faults,
                                        b_to_a.seed ^ 0x517cc1b727220a95ULL, now);
   shared_->dirs[kA].busy_until = now;
@@ -57,10 +55,6 @@ Status Wire::Send(End from, Bytes frame) {
     }
     dir.stats.frames_sent.Inc();
     dir.stats.bytes_sent.Inc(frame.size());
-    if (dir.params.loss_rate > 0 && dir.rng.Chance(dir.params.loss_rate)) {
-      dir.stats.frames_dropped.Inc();
-      return Status::Ok();  // silently lost on the wire
-    }
     auto now = TimerWheel::Clock::now();
     auto fault = dir.faults.Evaluate(now, frame.size());
     if (fault.drop) {

@@ -9,10 +9,6 @@ namespace {
 struct BlockCounters {
   obs::Counter& copies;
   obs::Counter& msgs;
-  obs::Counter& pool_hit;
-  obs::Counter& pool_miss;
-  obs::Counter& dropped;
-  obs::Counter& recycled;
 };
 
 BlockCounters& C() {
@@ -23,48 +19,9 @@ BlockCounters& C() {
     return BlockCounters{
         r.CounterNamed("stream.block.copies"),
         r.CounterNamed("stream.block.msgs"),
-        r.CounterNamed("stream.block.pool-hit"),
-        r.CounterNamed("stream.block.pool-miss"),
-        r.CounterNamed("stream.block.dropped"),
-        r.CounterNamed("stream.block.recycled"),
     };
   }();
   return c;
-}
-
-// Per-thread intrusive free list of Block nodes.  Thread-local so the hot
-// path takes no lock; a block freed on a different thread than it was
-// allocated on simply migrates lists.  Capped so a burst cannot pin memory.
-struct FreeList {
-  Block* head = nullptr;
-  size_t count = 0;
-  static constexpr size_t kCap = 128;
-
-  ~FreeList() {
-    while (head != nullptr) {
-      Block* next = head->pool_next;
-      delete head;
-      head = next;
-    }
-  }
-};
-
-FreeList& Pool() {
-  thread_local FreeList pool;
-  return pool;
-}
-
-void PoolPut(BlockPtr b) {
-  FreeList& pool = Pool();
-  if (pool.count >= FreeList::kCap) return;  // BlockPtr frees it
-  Block* node = b.release();
-  node->data.clear();  // keeps capacity for reuse via assignment below
-  node->rp = 0;
-  node->delim = false;
-  node->type = BlockType::kData;
-  node->pool_next = pool.head;
-  pool.head = node;
-  pool.count++;
 }
 
 }  // namespace
@@ -81,34 +38,12 @@ void NoteMessage() { C().msgs.Inc(1); }
 }  // namespace blockaudit
 
 BlockPtr AllocDataBlock(Bytes data, bool delim) {
-  FreeList& pool = Pool();
-  Block* node = pool.head;
-  if (node != nullptr) {
-    pool.head = node->pool_next;
-    pool.count--;
-    node->pool_next = nullptr;
-    C().pool_hit.Inc(1);
-  } else {
-    C().pool_miss.Inc(1);
-    node = new Block();
-  }
-  node->type = BlockType::kData;
-  node->data = std::move(data);
-  node->delim = delim;
-  node->rp = 0;
-  return BlockPtr(node);
+  auto b = std::make_unique<Block>();
+  b->data = std::move(data);
+  b->delim = delim;
+  return b;
 }
 
-void RecycleBlock(BlockPtr b) {
-  if (b == nullptr) return;
-  C().recycled.Inc(1);
-  PoolPut(std::move(b));
-}
-
-void DropBlock(BlockPtr b) {
-  if (b == nullptr) return;
-  C().dropped.Inc(1);
-  PoolPut(std::move(b));
-}
+void DropBlock(BlockPtr b) { b.reset(); }
 
 }  // namespace plan9

@@ -7,9 +7,9 @@
 //
 // Blocks are passed, not copied, along the data path: ownership of a
 // BlockPtr transfers at every hop (P9_CONSUMES), and per-message paths must
-// not allocate once the block pool is warm (P9_HOT_PATH).  See
-// src/base/block_annotations.h and DESIGN.md §13 for the discipline and the
-// checkers (blockcheck / hotcheck) that enforce it.
+// not copy or allocate beyond the one block node per message (P9_HOT_PATH).
+// See src/base/block_annotations.h and DESIGN.md §13 for the discipline and
+// the checkers (blockcheck / hotcheck) that enforce it.
 #ifndef SRC_STREAM_BLOCK_H_
 #define SRC_STREAM_BLOCK_H_
 
@@ -46,9 +46,6 @@ struct Block {
   // Read cursor: bytes [rp, data.size()) are live.  Kept in the block so a
   // partially-consumed block can be pushed back on a queue.
   size_t rp = 0;
-  // Intrusive free-list link for the per-thread block pool; live blocks
-  // never use it.
-  Block* pool_next = nullptr;
 
   size_t size() const { return data.size() - rp; }
   const uint8_t* payload() const { return data.data() + rp; }
@@ -60,27 +57,16 @@ struct Block {
 
 using BlockPtr = std::unique_ptr<Block>;
 
-// Pooled allocation for the hot path.  AllocDataBlock reuses a Block node
-// from the calling thread's free list when one is available (stream.block
-// pool-hit/pool-miss counters record the ratio), so a warm steady-state
-// send/receive path performs no node allocation.  RecycleBlock returns a
-// fully-consumed block to the pool; DropBlock is the *explicit* way to
-// discard an owned block (counted, pooled) — letting a BlockPtr die in a
-// destructor on a consuming path is a blockcheck finding.
+// The one way to build a data block from a payload: the payload moves into
+// one new node, the allocation a message costs (stream.hot.allocs).
+// DropBlock is the one way to discard an owned block; letting a BlockPtr die
+// in a destructor on a consuming path is a blockcheck finding.
 BlockPtr AllocDataBlock(Bytes data, bool delim = false) P9_HOT_PATH;
-void RecycleBlock(BlockPtr b) P9_CONSUMES(b) P9_HOT_PATH;
 void DropBlock(BlockPtr b) P9_CONSUMES(b);
 
-inline BlockPtr MakeDataBlock(Bytes data, bool delim = false) {
-  auto b = std::make_unique<Block>();
-  b->type = BlockType::kData;
-  b->data = std::move(data);
-  b->delim = delim;
-  return b;
-}
-
+// Copies the text: test and cold-path convenience, banned on hot paths.
 inline BlockPtr MakeDataBlock(std::string_view text, bool delim = false) {
-  return MakeDataBlock(ToBytes(text), delim);
+  return AllocDataBlock(ToBytes(text), delim);
 }
 
 inline BlockPtr MakeControlBlock(std::string_view text) {

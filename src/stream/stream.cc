@@ -123,24 +123,13 @@ Result<size_t> Stream::Write(const uint8_t* data, size_t n) {
   do {
     size_t chunk = n - sent < kMaxBlock ? n - sent : kMaxBlock;
     // The single user-to-kernel copy of the data path ("a write of less
-    // than 32K is guaranteed to be contained by a single block"); the block
-    // node itself comes from the pool.
+    // than 32K is guaranteed to be contained by a single block").
     auto b = AllocDataBlock(Bytes(data + sent, data + sent + chunk),
                             /*delim=*/sent + chunk == n);
     sent += chunk;
     SendDown(std::move(b));
   } while (sent < n);
   return sent;
-}
-
-Status Stream::WriteBlock(BlockPtr b) {
-  P9_HOT_ROOT("stream.write-block");
-  if (hungup_.load()) {
-    DropBlock(std::move(b));
-    return Error(kErrHungup);
-  }
-  SendDown(std::move(b));
-  return Status::Ok();
 }
 
 Status Stream::WriteControl(std::string_view msg) {
@@ -189,35 +178,12 @@ Result<size_t> Stream::Read(uint8_t* buf, size_t n) {
       break;  // buffer full
     }
     bool delim = b->delim;
-    RecycleBlock(std::move(b));  // fully drained: back to the pool
+    DropBlock(std::move(b));  // fully drained
     if (delim) {
       break;  // "...or when the end of a delimited block is encountered"
     }
   }
   return got;
-}
-
-Result<Bytes> Stream::ReadMessage() {
-  QLockGuard read_guard(read_lock_);
-  P9_HOT_ROOT("stream.read-message");
-  Bytes out;
-  for (;;) {
-    BlockPtr b = head_queue_.Get();
-    if (b == nullptr) {
-      break;  // EOF
-    }
-    if (b->type == BlockType::kControl) {
-      DropBlock(std::move(b));
-      continue;
-    }
-    out.insert(out.end(), b->payload(), b->payload() + b->size());
-    bool delim = b->delim;
-    RecycleBlock(std::move(b));
-    if (delim) {
-      break;
-    }
-  }
-  return out;
 }
 
 bool Stream::HasInput() { return head_queue_.block_count() > 0 || hungup_.load(); }

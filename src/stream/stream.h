@@ -118,10 +118,6 @@ class Stream {
   Result<size_t> Write(std::string_view s) MAY_BLOCK {
     return Write(reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
-  // Send one pre-formed block down (no splitting); used by RPC layers that
-  // need message boundaries preserved exactly.
-  Status WriteBlock(BlockPtr b) P9_CONSUMES(b) P9_HOT_PATH MAY_BLOCK;
-
   // Write a control block.  `push name`, `pop` and `hangup` are interpreted
   // by the stream system; everything else goes down the stream.
   Status WriteControl(std::string_view msg) MAY_BLOCK;
@@ -130,11 +126,6 @@ class Stream {
   // or when the end of a delimited block is encountered."  Returns 0 at EOF
   // (hangup).  A per-stream read lock serializes readers.
   Result<size_t> Read(uint8_t* buf, size_t n) P9_HOT_PATH MAY_BLOCK;
-
-  // Read exactly one delimited message (drains blocks up to and including
-  // the next delimiter).  nullptr-sized (empty optional semantics): returns
-  // empty Bytes at EOF.
-  Result<Bytes> ReadMessage() P9_HOT_PATH MAY_BLOCK;
 
   // Non-blocking check for readable data.
   bool HasInput();
@@ -176,7 +167,7 @@ class Stream {
   Queue head_queue_;
   // "A per stream read lock ensures only one process..." — serialization
   // only, guards no members; ordered before the head queue's lock.
-  // Sleepable: Read/ReadMessage hold it across head_queue_.Get() by design
+  // Sleepable: Read holds it across head_queue_.Get() by design
   // (the whole point is to park later readers behind the blocked one).
   QLock read_lock_{"stream.read", kSleepableClass};
   std::atomic<bool> hungup_{false};

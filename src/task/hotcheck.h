@@ -1,8 +1,9 @@
 // Hot-path allocation checking (debug builds).
 //
 // The per-message data path (device input -> protocol module -> stream head,
-// and the reverse on write) is supposed to pass blocks, not copy them, and —
-// pool warm — not to allocate at all.  tools/lint/plan9lint proves that
+// and the reverse on write) is supposed to pass blocks, not copy them, and to
+// allocate no more than the one block node per message.  tools/lint/plan9lint
+// proves that
 // statically for the tokens it can see (blockcheck, DESIGN.md §13); this is
 // the runtime half, mirroring lockcheck: when built with
 // -DPLAN9NET_HOTCHECK=ON (the default; tier-1 tests always run with it) the
@@ -18,7 +19,7 @@
 //   * Mode::kZeroAlloc (tests): the first allocation inside the scope
 //     aborts with the allocation size, the root name, and a flight-recorder
 //     dump, exactly like lockcheck's order-violation death.  Used to pin
-//     down paths that must stay allocation-free once the block pool is warm.
+//     down code that must not allocate at all.
 //
 // Scopes nest; only the outermost owns the per-message accounting, so a hot
 // root calling another hot root counts one message.  Counting is per-thread:

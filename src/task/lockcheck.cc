@@ -38,7 +38,15 @@ struct Held {
   std::string site;
 };
 
-thread_local std::vector<Held> t_held;
+// This thread's held locks.  The main thread's thread_locals die before
+// static destructors run, and those may still take a QLock (a leaked-at-exit
+// mount clunking its fid); from then on the thread is not tracked.  The flag
+// is trivially destructible, so it stays readable to the end.
+thread_local bool t_held_gone = false;
+struct HeldStack : std::vector<Held> {
+  ~HeldStack() { t_held_gone = true; }
+};
+thread_local HeldStack t_held;
 
 std::string Site(const char* file, int line) {
   return std::string(file) + ":" + std::to_string(line);
@@ -101,6 +109,9 @@ void SetClassSleepable(ClassId cls) {
 }
 
 void OnBlock(const void* lock, const char* file, int line) {
+  if (t_held_gone) {
+    return;
+  }
   for (const Held& h : t_held) {
     if (h.lock == lock) {
       continue;  // the rendez's own lock: released atomically by the wait
@@ -131,6 +142,9 @@ void UnregisterInstanceClass(ClassId cls) {
 }
 
 void OnAcquire(const void* lock, ClassId cls, const char* file, int line) {
+  if (t_held_gone) {
+    return;
+  }
   std::string site = Site(file, line);
   for (const Held& h : t_held) {
     if (h.lock == lock) {
@@ -181,6 +195,9 @@ void OnAcquire(const void* lock, ClassId cls, const char* file, int line) {
 }
 
 void OnTryAcquire(const void* lock, ClassId cls, const char* file, int line) {
+  if (t_held_gone) {
+    return;
+  }
   std::string site = Site(file, line);
   for (const Held& h : t_held) {
     if (h.lock == lock) {
@@ -196,6 +213,9 @@ void OnTryAcquire(const void* lock, ClassId cls, const char* file, int line) {
 }
 
 void OnRelease(const void* lock) {
+  if (t_held_gone) {
+    return;
+  }
   // Usually LIFO, but guard.Unlock() can release from mid-stack.
   for (size_t i = t_held.size(); i-- > 0;) {
     if (t_held[i].lock == lock) {
@@ -205,7 +225,7 @@ void OnRelease(const void* lock) {
   }
 }
 
-int HeldCount() { return static_cast<int>(t_held.size()); }
+int HeldCount() { return t_held_gone ? 0 : static_cast<int>(t_held.size()); }
 
 }  // namespace lockcheck
 }  // namespace plan9

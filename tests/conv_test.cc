@@ -300,6 +300,17 @@ TEST_P(SlotTableTest, TableHolds256LiveConversations) {
   }
 }
 
+TEST_P(SlotTableTest, NeverConnectedCloneFreesItsSlot) {
+  // `cat /net/il/clone` opens and closes a conversation that never leaves
+  // the closed state: its slot must come back at once, every time.
+  for (int i = 0; i < 300; i++) {
+    auto c = rig_->a->Clone();
+    ASSERT_TRUE(c.ok()) << i << ": " << c.error().message();
+    (*c)->CloseUser();
+  }
+  EXPECT_EQ(rig_->a->ConvCount(), 1u);
+}
+
 TEST_P(SlotTableTest, UnknownCtlVerbIsRejected) {
   auto c = rig_->a->Clone();
   ASSERT_TRUE(c.ok());

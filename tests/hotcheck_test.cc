@@ -1,8 +1,7 @@
 // hotcheck: the runtime counterpart of blockcheck's copy-in-hot-path
 // (src/task/hotcheck.h, DESIGN.md section 13).  Counting scopes charge
 // every heap allocation on the thread to the open P9_HOT_ROOT; zero-alloc
-// scopes abort on the first allocation, which is how the tests pin the
-// "no allocation once the pool is warm" claim to real code paths.
+// scopes abort on the first allocation.
 
 #include "src/task/hotcheck.h"
 
@@ -77,19 +76,6 @@ TEST(HotcheckDeathTest, ZeroAllocScopeAbortsOnAllocation) {
       },
       "hotcheck: heap allocation .* inside zero-alloc hot scope "
       "'test.zero-alloc'");
-}
-
-TEST(Hotcheck, WarmBlockPoolSurvivesZeroAllocScope) {
-  // Warm the pool and pre-build the payload outside the strict scope; a
-  // pooled alloc/recycle round trip must then be allocation-free.
-  RecycleBlock(AllocDataBlock(Bytes(64), true));
-  Bytes payload(64, 0xab);
-  {
-    hotcheck::Scope scope("test.pool-warm", hotcheck::Mode::kZeroAlloc);
-    BlockPtr b = AllocDataBlock(std::move(payload), true);
-    RecycleBlock(std::move(b));
-  }
-  SUCCEED();
 }
 
 #else  // !PLAN9NET_HOTCHECK

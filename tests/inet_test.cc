@@ -103,8 +103,8 @@ TEST(Udp, DatagramRoundTripPreservesBoundaries) {
 
 TEST(Udp, LossyNetworkDropsDatagrams) {
   TwoHosts net{LinkParams{.latency = std::chrono::microseconds(10),
-                          .loss_rate = 0.5,
-                          .seed = 42}};
+                          .seed = 42,
+                          .faults = {.loss_good = 0.5}}};
   UdpProto audp(&net.alice), budp(&net.bob);
   auto server = budp.Clone();
   ASSERT_TRUE((*server)->Ctl("announce 9").ok());
@@ -188,8 +188,8 @@ TEST_F(IlTest, PreservesMessageBoundaries) {
 TEST_F(IlTest, ReliableUnderLoss) {
   // 15% loss each way: IL must deliver everything, in order.
   Build(LinkParams{.latency = std::chrono::microseconds(20),
-                   .loss_rate = 0.15,
-                   .seed = 7});
+                   .seed = 7,
+                   .faults = {.loss_good = 0.15}});
   Dial();
   constexpr int kMessages = 60;
   std::thread sender([&] {
@@ -245,12 +245,13 @@ TEST_F(IlTest, ConcurrentLongWritesStayWhole) {
   };
   std::thread a(writer, 'a'), b(writer, 'b');
   int as = 0, bs = 0;
+  Bytes msg(kLen + 1);
   for (int i = 0; i < 2 * kEach; i++) {
-    auto msg = accepted_->ReadMessage();
-    ASSERT_TRUE(msg.ok());
-    ASSERT_EQ(msg->size(), kLen);
-    uint8_t fill = (*msg)[0];
-    EXPECT_EQ(std::count(msg->begin(), msg->end(), fill), static_cast<long>(kLen));
+    auto n = accepted_->Read(msg.data(), msg.size());
+    ASSERT_TRUE(n.ok());
+    ASSERT_EQ(*n, kLen);
+    uint8_t fill = msg[0];
+    EXPECT_EQ(std::count(msg.begin(), msg.begin() + kLen, fill), static_cast<long>(kLen));
     (fill == 'a' ? as : bs)++;
   }
   a.join();
@@ -340,8 +341,8 @@ TEST_F(TcpTest, DoesNotPreserveDelimiters) {
 
 TEST_F(TcpTest, BulkTransferUnderLoss) {
   Build(LinkParams{.latency = std::chrono::microseconds(20),
-                   .loss_rate = 0.08,
-                   .seed = 3});
+                   .seed = 3,
+                   .faults = {.loss_good = 0.08}});
   Dial();
   constexpr size_t kTotal = 200 * 1024;
   std::thread sender([&] {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/task/kproc.h"
@@ -94,6 +95,21 @@ TEST(Lockcheck, HeldCountTracksTheStack) {
     EXPECT_EQ(lockcheck::HeldCount(), 1);
   }
   EXPECT_EQ(lockcheck::HeldCount(), 0);
+}
+
+TEST(Lockcheck, LockTakenAfterTheThreadsLockStackIsGoneIsSafe) {
+  // `late` is built before the thread's lock stack, so it is destroyed
+  // after it, as a static destructor is after the main thread's; taking a
+  // QLock there must not touch the destroyed stack.
+  QLock lock{"test.late"};
+  struct TakesLockLate {
+    QLock* lock;
+    ~TakesLockLate() { QLockGuard g(*lock); }
+  };
+  std::thread([&lock] {
+    thread_local TakesLockLate late{&lock};
+    QLockGuard g(lock);
+  }).join();
 }
 
 TEST(Lockcheck, SleepReleasesTheHeldEntry) {

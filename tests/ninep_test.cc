@@ -253,7 +253,7 @@ TEST(FramedTransport, RoundTripsOverByteStream) {
         // Deliver bytes in awkward small chunks to prove reassembly works.
         for (size_t i = 0; i < n; i += 3) {
           size_t c = std::min<size_t>(3, n - i);
-          (void)q->PutNoBlock(MakeDataBlock(Bytes(data + i, data + i + c)));
+          (void)q->PutNoBlock(AllocDataBlock(Bytes(data + i, data + i + c)));
         }
         return Status::Ok();
       },

@@ -4,7 +4,7 @@ Four checks over the P9_CONSUMES / P9_BORROWS / P9_HOT_PATH annotations
 (src/base/block_annotations.h, DESIGN.md section 13):
 
   use-after-move       a BlockPtr named after std::move(it) on the same path
-  consume-on-all-paths a P9_CONSUMES parameter must be forwarded, pooled, or
+  consume-on-all-paths a P9_CONSUMES parameter must be forwarded or
                        explicitly dropped on every exit
   copy-in-hot-path     hot-reachable functions must not clone, copy-build, or
                        heap-allocate per message (whitelist: HOT_PATH_SAFE)
@@ -435,8 +435,7 @@ def check_consume_on_all_paths(files: List[FileIndex]) -> List[Finding]:
                     message=(f"P9_CONSUMES parameter {var!r} is not consumed"
                              f" on every path (first unconsumed exit:"
                              f" {'falls off the end' if kind == 'end' else 'return'});"
-                             f" forward it, RecycleBlock it, or DropBlock it"
-                             f" explicitly"),
+                             f" forward it or DropBlock it explicitly"),
                     detail=f"var={var}"))
     return out
 
@@ -485,8 +484,8 @@ def check_copy_in_hot_path(program: Program, files: List[FileIndex],
                 file=raw.file, line=t.line, function=raw.qname,
                 message=(f"{what} in hot-path function {raw.qname} (reachable"
                          f" from a P9_HOT_PATH root): per-message copies and"
-                         f" allocations belong behind AllocDataBlock/the"
-                         f" block pool, or add the function to HOT_PATH_SAFE"
+                         f" allocations belong behind AllocDataBlock,"
+                         f" or add the function to HOT_PATH_SAFE"
                          f" with a comment"),
                 detail=f"callee={what}"))
     return out

@@ -15,7 +15,7 @@ review) with the runtime counterparts:
 # unrelated Rendez.  Keep this list short and deliberate: each entry is a
 # documented hold-across-sleep idiom, not an exemption of convenience.
 SLEEPABLE_CLASSES = {
-    # Stream::Read/ReadMessage hold the per-stream read lock across
+    # Stream::Read holds the per-stream read lock across
     # Queue::Get: later readers are *supposed* to park behind the blocked
     # one ("a per stream read lock ensures only one process...").
     "stream.read",
@@ -112,7 +112,8 @@ BLOCK_PTR_TYPES = {"BlockPtr"}
 HOT_SEEDS: set = set()
 
 # Callees that clone or copy-build a block/buffer: banned in hot functions.
-# AllocDataBlock is the sanctioned pooled allocator and is NOT here.
+# AllocDataBlock, the one Bytes-to-Block constructor, moves its payload and
+# is NOT here.
 HOT_BANNED_CALLEES = {
     "CloneBlock", "MakeDataBlock", "MakeControlBlock", "MakeHangupBlock",
     "ToBytes",
@@ -134,8 +135,8 @@ HOT_PATH_SAFE = {
     # The single sanctioned user-to-kernel copy: Stream::Write builds the
     # block payload from the caller's buffer (DESIGN.md section 13).
     "Stream::Write",
-    # The pooled allocator itself: its miss path `new Block()` is what the
-    # pool-miss counter measures; steady state never takes it.
+    # The one block node per message: AllocDataBlock moves the payload into
+    # a new Block, an allocation charged to stream.hot.allocs.
     "AllocDataBlock",
     # Ether multicast: one extra payload copy per additional recipient,
     # counted via blockaudit::NoteCopy right at the copy.

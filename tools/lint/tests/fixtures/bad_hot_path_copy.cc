@@ -17,7 +17,7 @@ class Conv2 {
   }
 
   // BAD via propagation: called from HotRecv, builds a std::string copy of
-  // the payload and a non-pooled block.
+  // the payload and a copying block.
   void HotHelper(const Block& b) {
     name_ = std::string(reinterpret_cast<const char*>(b.payload()), b.size());
     Deliver(MakeDataBlock(name_, true));
@@ -29,7 +29,7 @@ class Conv2 {
     Deliver(CloneBlock(b));
   }
 
-  // OK: hot, but only pooled allocation and moves.
+  // OK: hot, but only AllocDataBlock and moves.
   void HotClean(Bytes payload) P9_HOT_PATH {
     Deliver(AllocDataBlock(std::move(payload), true));
   }

@@ -195,7 +195,7 @@ class RealTreeSmoke(unittest.TestCase):
         self.assertIn("Stream::Write", hot)
         consumes = blockcheck.collect_consumes(indexes)
         self.assertEqual(consumes.get("Queue::Put"), {"b"})
-        self.assertEqual(consumes.get("RecycleBlock"), {"b"})
+        self.assertEqual(consumes.get("DropBlock"), {"b"})
         # And the good idioms must not fire in these headers.
         keys = [k for k in (f.key() for f in checks.run_all(program, indexes))
                 if k.startswith("blocking-under-lock")]
