@@ -116,19 +116,25 @@ void BM_RpcRead8K(benchmark::State& state) {
 BENCHMARK(BM_RpcRead8K);
 
 void BM_MountDriverRead8K(benchmark::State& state) {
-  // Through MntVnode — the procedural-to-RPC conversion path (§2.1).
-  static std::shared_ptr<Vnode> node = [] {
+  // Through MntVnode — the procedural-to-RPC conversion path (§2.1).  Held
+  // like Fixture(): never destroyed, so no clunk crosses the pipe to a
+  // server that static destruction is tearing down.
+  struct Mounted {
+    std::unique_ptr<NinepServer> server;
+    std::shared_ptr<Vnode> file;
+  };
+  static Mounted* m = [] {
     auto* f = Fixture();
     auto [a, b] = PipeTransport::Make();
-    static NinepServer server(&f->fs, std::move(a));
+    auto* mounted = new Mounted{std::make_unique<NinepServer>(&f->fs, std::move(a)), nullptr};
     auto client = std::make_shared<NinepClient>(std::move(b));
     auto root = MntAttach(client, "bench", "").take();
-    auto walked = root->Walk("data").take()->Walk("file").take();
-    (void)walked->Open(kORead, "bench");
-    return walked;
+    mounted->file = root->Walk("data").take()->Walk("file").take();
+    (void)mounted->file->Open(kORead, "bench");
+    return mounted;
   }();
   for (auto _ : state) {
-    auto data = node->Read(0, 8192);
+    auto data = m->file->Read(0, 8192);
     benchmark::DoNotOptimize(data);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 8192);

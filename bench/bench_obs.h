@@ -29,6 +29,8 @@ namespace benchutil {
 // heap allocations per delimited message.
 // Written as their own JSON section so a trend job can gate on
 // copies_per_message / allocs_per_message without walking the registry.
+// null when no message passed a stream head: a suite whose traffic never
+// reaches one (bench_ninep's pipe transports) has nothing to audit.
 inline std::string RenderBlockAudit() {
   auto& r = obs::MetricsRegistry::Default();
   auto v = [&r](const char* n) {
@@ -36,12 +38,15 @@ inline std::string RenderBlockAudit() {
   };
   double msgs = v("stream.block.msgs");
   double hot_msgs = v("stream.hot.msgs");
+  if (msgs == 0) {
+    return "null";
+  }
   std::ostringstream out;
   out.setf(std::ios::fixed);
   out.precision(6);
   out << "{\"messages\": " << static_cast<uint64_t>(msgs)
       << ", \"copies_per_message\": "
-      << (msgs > 0 ? v("stream.block.copies") / msgs : 0.0)
+      << v("stream.block.copies") / msgs
       << ", \"allocs_per_message\": "
       << (hot_msgs > 0 ? v("stream.hot.allocs") / hot_msgs : 0.0)
       << ", \"alloc_bytes_per_message\": "

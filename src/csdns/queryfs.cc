@@ -9,24 +9,10 @@ namespace {
 using Spec = QueryVfs::Spec;
 
 // One open of the file: its own query results.
-class QueryFileVnode : public Vnode {
+class QueryFileVnode : public GenVnode {
  public:
-  explicit QueryFileVnode(std::shared_ptr<const Spec> spec) : spec_(std::move(spec)) {}
-
-  Qid qid() override { return Qid{spec_->file_path, 0}; }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = spec_->name;
-    d.qid = qid();
-    d.mode = 0666;
-    d.type = 'x';
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    return Error(kErrNotDir);
-  }
+  QueryFileVnode(DirGen in, Qid qid, std::shared_ptr<const Spec> spec)
+      : GenVnode(std::move(in), qid), spec_(std::move(spec)) {}
 
   Result<Bytes> Read(uint64_t offset, uint32_t count) override {
     QLockGuard guard(lock_);
@@ -64,42 +50,6 @@ class QueryFileVnode : public Vnode {
   std::string error_ GUARDED_BY(lock_);
 };
 
-class QueryDirVnode : public Vnode, public std::enable_shared_from_this<QueryDirVnode> {
- public:
-  explicit QueryDirVnode(std::shared_ptr<const Spec> spec) : spec_(std::move(spec)) {}
-
-  Qid qid() override { return Qid{spec_->dir_path | kQidDirBit, 0}; }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = spec_->name;
-    d.qid = qid();
-    d.mode = kDmDir | 0555;
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    if (name == "." || name == "..") {
-      return std::shared_ptr<Vnode>(shared_from_this());
-    }
-    if (name == spec_->name) {
-      return std::shared_ptr<Vnode>(std::make_shared<QueryFileVnode>(spec_));
-    }
-    return Error(kErrNotExist);
-  }
-
-  Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    std::vector<Dir> entries(1);
-    entries[0].name = spec_->name;
-    entries[0].qid = Qid{spec_->file_path, 0};
-    entries[0].mode = 0666;
-    return PackDirEntries(entries, offset, count);
-  }
-
- private:
-  std::shared_ptr<const Spec> spec_;
-};
-
 }  // namespace
 
 QueryVfs::QueryVfs(std::string name, uint32_t dir_path, uint32_t file_path, Query query)
@@ -108,7 +58,23 @@ QueryVfs::QueryVfs(std::string name, uint32_t dir_path, uint32_t file_path, Quer
 
 Result<std::shared_ptr<Vnode>> QueryVfs::Attach(const std::string& uname,
                                                 const std::string& aname) {
-  return std::shared_ptr<Vnode>(std::make_shared<QueryDirVnode>(spec_));
+  Dir dir;
+  dir.name = spec_->name;
+  dir.qid = Qid{spec_->dir_path | kQidDirBit, 0};
+  dir.mode = kDmDir | 0555;
+  return GenDirVnode::Root(std::move(dir), [spec = spec_](size_t i) -> std::optional<GenEntry> {
+    if (i > 0) {
+      return std::nullopt;
+    }
+    Dir file;
+    file.name = spec->name;
+    file.qid = Qid{spec->file_path, 0};
+    file.mode = 0666;
+    file.type = 'x';
+    return GenEntry{std::move(file), [spec](const std::shared_ptr<GenDirVnode>& in, Qid qid) {
+                      return std::make_shared<QueryFileVnode>(in->gen(), qid, spec);
+                    }};
+  });
 }
 
 }  // namespace plan9

@@ -1,7 +1,5 @@
 #include "src/dev/devproto.h"
 
-#include <algorithm>
-
 #include "src/base/strings.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
@@ -21,17 +19,23 @@ uint32_t QidClone(size_t p) { return QidProto(p) | 1; }
 uint32_t QidConv(size_t p, size_t c) { return QidProto(p) | static_cast<uint32_t>(c + 1) << 8; }
 uint32_t QidFile(size_t p, size_t c, size_t kind) { return QidConv(p, c) | (kind + 2); }
 
-Result<std::string> SliceText(const std::string& text, uint64_t offset, uint32_t count) {
-  if (offset >= text.size()) {
-    return std::string();
-  }
-  return text.substr(offset, count);
+Bytes SliceText(const std::string& text, uint64_t offset, uint32_t count) {
+  return offset >= text.size() ? Bytes{} : ToBytes(text.substr(offset, count));
 }
 
-class ProtoDirVnode;
-class ConvDirVnode;
+// One entry of the tree: every file and directory under /net is device 'I'.
+Dir Entry(std::string name, uint32_t path, uint32_t mode, const std::string& owner = "none") {
+  Dir d;
+  d.name = std::move(name);
+  d.uid = owner;
+  d.gid = owner;
+  d.qid = Qid{(mode & kDmDir) != 0 ? path | kQidDirBit : path, 0};
+  d.mode = mode;
+  d.type = 'I';
+  return d;
+}
 
-// The /net-level observability files (tentpole): every node exports its
+// The /net-level observability files: every node exports its
 // metrics registry and flight recorder the same way the LANCE driver exports
 // its stats file — as text, readable by cat, importable across machines.
 //   /net/stats  the metrics registry, `key value` per line
@@ -44,24 +48,9 @@ class ConvDirVnode;
 constexpr const char* kObsFiles[] = {"stats", "trace", "log", "ctl", "chaos"};
 constexpr size_t kObsFileCount = 5;
 
-class ObsFileVnode : public Vnode {
+class ObsFileVnode : public GenVnode {
  public:
-  explicit ObsFileVnode(size_t kind) : kind_(kind) {}
-
-  Qid qid() override { return Qid{QidObsFile(kind_), 0}; }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = kObsFiles[kind_];
-    d.qid = qid();
-    d.mode = d.name == "ctl" || d.name == "chaos" ? 0666 : 0444;
-    d.type = 'I';
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    return Error(kErrNotDir);
-  }
+  ObsFileVnode(DirGen in, Qid qid, size_t kind) : GenVnode(std::move(in), qid), kind_(kind) {}
 
   Result<Bytes> Read(uint64_t offset, uint32_t count) override {
     std::string text;
@@ -81,8 +70,7 @@ class ObsFileVnode : public Vnode {
                        obs::FlightRecorder::Default().mask(),
                        obs::Tracer::Default().sample_interval());
     }
-    auto sliced = SliceText(text, offset, count);
-    return ToBytes(*sliced);
+    return SliceText(text, offset, count);
   }
 
   Result<uint32_t> Write(uint64_t offset, const Bytes& data) override {
@@ -108,43 +96,27 @@ class ObsFileVnode : public Vnode {
 
 // ---------------------------------------------------------------------------
 
-class ConvFileVnode : public Vnode {
+DirGen ConvGen(NetProto* proto, size_t p, NetConv* conv);
+
+// Every file of a protocol directory but the conversation directories: the
+// clone file and each conversation's ctl, data, listen and info files.
+// Opening clone reserves a conversation and opening listen waits for a
+// call; either way the fd becomes that conversation's ctl file (§2.3).
+class ConvFileVnode : public GenVnode {
  public:
-  ConvFileVnode(NetProto* proto, size_t proto_idx, NetConv* conv,
-                size_t file_kind, std::string file_name)
-      : proto_(proto),
-        proto_idx_(proto_idx),
-        conv_(conv),
-        file_kind_(file_kind),
-        file_name_(std::move(file_name)) {}
+  ConvFileVnode(DirGen in, Qid qid, NetProto* proto, size_t p, NetConv* conv, std::string name)
+      : GenVnode(std::move(in), qid), proto_(proto), p_(p), conv_(conv), name_(std::move(name)) {}
 
   ~ConvFileVnode() override { ReleaseRef(); }
 
-  Qid qid() override {
-    return Qid{QidFile(proto_idx_, static_cast<size_t>(conv_->index()), file_kind_), 0};
-  }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = file_name_;
-    d.uid = conv_->owner();
-    d.gid = conv_->owner();
-    d.qid = qid();
-    d.mode = 0666;
-    d.type = 'I';
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    return Error(kErrNotDir);
-  }
-
   Status Open(uint8_t mode, const std::string& user) override {
-    if (file_name_ == "listen") {
+    if (name_ == "clone") {
+      P9_ASSIGN_OR_RETURN(conv_, proto_->Clone());
+      conv_->set_owner("network");  // the user claims it below
+    } else if (name_ == "listen") {
       // "If the process opens the listen file it blocks until an incoming
-      // call is received. ... the open completes and returns a file
-      // descriptor pointing to the ctl file of the new connection."
-      auto idx = conv_->Listen();
+      // call is received."
+      auto idx = conv_->Listen();  // a conversation number, not an fd
       if (!idx.ok()) {
         return idx.error();
       }
@@ -153,53 +125,45 @@ class ConvFileVnode : public Vnode {
         return Error("listen lost the call");
       }
       conv_ = accepted;
-      file_kind_ = 0;  // morph into the new conversation's ctl
-      file_name_ = "ctl";
-    } else if (file_name_ == "data") {
+    } else if (name_ == "data") {
       // "When the data file is opened the connection is established."
       P9_RETURN_IF_ERROR(conv_->WaitReady());
     }
+    if (name_ == "clone" || name_ == "listen") {
+      name_ = "ctl";
+      size_t c = static_cast<size_t>(conv_->index());
+      Become(ConvGen(proto_, p_, conv_), Qid{QidFile(p_, c, 0), 0});
+    }
     conv_->refs.fetch_add(1);
     holds_ref_ = true;
-    if (!conv_->owner().empty() && conv_->owner() == "network" && !user.empty()) {
+    if (conv_->owner() == "network" && !user.empty()) {
       conv_->set_owner(user);
     }
     return Status::Ok();
   }
 
   Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    if (file_name_ == "ctl") {
-      auto text = SliceText(StrFormat("%d", conv_->index()), offset, count);
-      return ToBytes(*text);
+    if (name_ == "ctl") {
+      return SliceText(StrFormat("%d", conv_->index()), offset, count);
     }
-    if (file_name_ == "data") {
+    if (name_ == "data") {
       Bytes buf(count);
-      auto n = conv_->Read(buf.data(), buf.size());
-      if (!n.ok()) {
-        return n.error();
-      }
-      buf.resize(*n);
+      P9_ASSIGN_OR_RETURN(size_t n, conv_->Read(buf.data(), buf.size()));
+      buf.resize(n);
       return buf;
     }
-    auto text = proto_->InfoText(conv_, file_name_);
-    if (!text.ok()) {
-      return text.error();
-    }
-    auto sliced = SliceText(*text, offset, count);
-    return ToBytes(*sliced);
+    P9_ASSIGN_OR_RETURN(std::string text, proto_->InfoText(conv_, name_));
+    return SliceText(text, offset, count);
   }
 
   Result<uint32_t> Write(uint64_t offset, const Bytes& data) override {
-    if (file_name_ == "ctl") {
+    if (name_ == "ctl") {
       P9_RETURN_IF_ERROR(conv_->Ctl(ToString(data)));
       return static_cast<uint32_t>(data.size());
     }
-    if (file_name_ == "data") {
-      auto n = conv_->Write(data.data(), data.size());
-      if (!n.ok()) {
-        return n.error();
-      }
-      return static_cast<uint32_t>(*n);
+    if (name_ == "data") {
+      P9_ASSIGN_OR_RETURN(size_t n, conv_->Write(data.data(), data.size()));
+      return static_cast<uint32_t>(n);
     }
     return Error(kErrPerm);
   }
@@ -217,282 +181,73 @@ class ConvFileVnode : public Vnode {
   }
 
   NetProto* proto_;
-  size_t proto_idx_;
-  NetConv* conv_;
-  size_t file_kind_;
-  std::string file_name_;
+  size_t p_;
+  NetConv* conv_;  // nullptr on a clone file not yet opened
+  std::string name_;
   bool holds_ref_ = false;
 };
 
-// The clone file: opening it reserves a conversation and the open fd behaves
-// as that conversation's ctl file.
-class CloneVnode : public Vnode {
- public:
-  CloneVnode(NetProto* proto, size_t proto_idx)
-      : proto_(proto), proto_idx_(proto_idx) {}
+// GenEntry::make for the file `name` of protocol `p` (conversation `conv`).
+decltype(GenEntry::make) ConvFile(NetProto* proto, size_t p, NetConv* conv, std::string name) {
+  return [=](const std::shared_ptr<GenDirVnode>& in, Qid qid) {
+    return std::make_shared<ConvFileVnode>(in->gen(), qid, proto, p, conv, name);
+  };
+}
 
-  ~CloneVnode() override { ReleaseRef(); }
-
-  Qid qid() override {
-    if (conv_ != nullptr) {
-      return Qid{QidFile(proto_idx_, static_cast<size_t>(conv_->index()), 0), 0};
+// /net/<proto>/<n>: the conversation's files, named by the protocol.
+DirGen ConvGen(NetProto* proto, size_t p, NetConv* conv) {
+  return [=](size_t i) -> std::optional<GenEntry> {
+    auto names = proto->ConvFileNames();
+    if (i >= names.size()) {
+      return std::nullopt;
     }
-    return Qid{QidClone(proto_idx_), 0};
-  }
+    size_t c = static_cast<size_t>(conv->index());
+    return GenEntry{Entry(names[i], QidFile(p, c, i), 0666, conv->owner()),
+                    ConvFile(proto, p, conv, names[i])};
+  };
+}
 
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = "clone";
-    d.qid = qid();
-    d.mode = 0666;
-    d.type = 'I';
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    return Error(kErrNotDir);
-  }
-
-  Status Open(uint8_t mode, const std::string& user) override {
-    auto conv = proto_->Clone();
-    if (!conv.ok()) {
-      return conv.error();
+// /net/<proto>: clone, then every conversation slot ever created.
+DirGen ProtoGen(NetProto* proto, size_t p) {
+  return [=](size_t i) -> std::optional<GenEntry> {
+    if (i == 0) {
+      return GenEntry{Entry("clone", QidClone(p), 0666), ConvFile(proto, p, nullptr, "clone")};
     }
-    conv_ = *conv;
-    conv_->refs.fetch_add(1);
-    conv_->set_owner(user.empty() ? "network" : user);
-    return Status::Ok();
-  }
-
-  Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    if (conv_ == nullptr) {
-      return Error("clone not open");
+    NetConv* conv = proto->Conv(i - 1);
+    if (conv == nullptr) {
+      return std::nullopt;
     }
-    auto text = SliceText(StrFormat("%d", conv_->index()), offset, count);
-    return ToBytes(*text);
-  }
+    return GenEntry{
+        Entry(StrFormat("%zu", i - 1), QidConv(p, i - 1), kDmDir | 0555, conv->owner()),
+        GenDirVnode::Subdir(ConvGen(proto, p, conv))};
+  };
+}
 
-  Result<uint32_t> Write(uint64_t offset, const Bytes& data) override {
-    if (conv_ == nullptr) {
-      return Error("clone not open");
+// /net: the observability files, then the protocol directories.
+DirGen RootGen(const std::vector<NetProto*>* protos) {
+  return [protos](size_t i) -> std::optional<GenEntry> {
+    if (i < kObsFileCount) {
+      bool writable = i == 3 || i == 4;  // ctl, chaos
+      return GenEntry{Entry(kObsFiles[i], QidObsFile(i), writable ? 0666 : 0444),
+                      [i](const std::shared_ptr<GenDirVnode>& in, Qid qid) {
+                        return std::make_shared<ObsFileVnode>(in->gen(), qid, i);
+                      }};
     }
-    P9_RETURN_IF_ERROR(conv_->Ctl(ToString(data)));
-    return static_cast<uint32_t>(data.size());
-  }
-
-  void Close(uint8_t mode) override { ReleaseRef(); }
-
- private:
-  void ReleaseRef() {
-    if (conv_ != nullptr && conv_->refs.fetch_sub(1) == 1) {
-      conv_->CloseUser();
+    size_t p = i - kObsFileCount;
+    if (p >= protos->size()) {
+      return std::nullopt;
     }
-    conv_ = nullptr;
-  }
-
-  NetProto* proto_;
-  size_t proto_idx_;
-  NetConv* conv_ = nullptr;
-};
-
-class ConvDirVnode : public Vnode {
- public:
-  ConvDirVnode(NetProto* proto, size_t proto_idx, NetConv* conv,
-               std::shared_ptr<Vnode> parent)
-      : proto_(proto), proto_idx_(proto_idx), conv_(conv), parent_(std::move(parent)) {}
-
-  Qid qid() override {
-    return Qid{QidConv(proto_idx_, static_cast<size_t>(conv_->index())) | kQidDirBit, 0};
-  }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = StrFormat("%d", conv_->index());
-    d.uid = conv_->owner();
-    d.gid = conv_->owner();
-    d.qid = qid();
-    d.mode = kDmDir | 0555;
-    d.type = 'I';
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    if (name == ".") {
-      return std::shared_ptr<Vnode>(
-          std::make_shared<ConvDirVnode>(proto_, proto_idx_, conv_, parent_));
-    }
-    if (name == "..") {
-      return parent_;
-    }
-    auto names = proto_->ConvFileNames();
-    for (size_t k = 0; k < names.size(); k++) {
-      if (names[k] == name) {
-        return std::shared_ptr<Vnode>(
-            std::make_shared<ConvFileVnode>(proto_, proto_idx_, conv_, k, name));
-      }
-    }
-    return Error(kErrNotExist);
-  }
-
-  Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    std::vector<Dir> entries;
-    auto names = proto_->ConvFileNames();
-    for (size_t k = 0; k < names.size(); k++) {
-      Dir d;
-      d.name = names[k];
-      d.uid = conv_->owner();
-      d.gid = conv_->owner();
-      d.qid = Qid{QidFile(proto_idx_, static_cast<size_t>(conv_->index()), k), 0};
-      d.mode = 0666;
-      d.type = 'I';
-      entries.push_back(std::move(d));
-    }
-    return PackDirEntries(entries, offset, count);
-  }
-
- private:
-  NetProto* proto_;
-  size_t proto_idx_;
-  NetConv* conv_;
-  std::shared_ptr<Vnode> parent_;
-};
-
-class ProtoDirVnode : public Vnode,
-                      public std::enable_shared_from_this<ProtoDirVnode> {
- public:
-  ProtoDirVnode(NetProto* proto, size_t proto_idx,
-                std::shared_ptr<Vnode> parent)
-      : proto_(proto), proto_idx_(proto_idx), parent_(std::move(parent)) {}
-
-  Qid qid() override { return Qid{QidProto(proto_idx_) | kQidDirBit, 0}; }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = proto_->name();
-    d.qid = qid();
-    d.mode = kDmDir | 0555;
-    d.type = 'I';
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    if (name == ".") {
-      return std::shared_ptr<Vnode>(shared_from_this());
-    }
-    if (name == "..") {
-      return parent_ != nullptr ? parent_
-                                : std::shared_ptr<Vnode>(shared_from_this());
-    }
-    if (name == "clone") {
-      return std::shared_ptr<Vnode>(std::make_shared<CloneVnode>(proto_, proto_idx_));
-    }
-    auto num = ParseU64(name);
-    if (num.has_value()) {
-      NetConv* conv = proto_->Conv(*num);
-      if (conv != nullptr) {
-        return std::shared_ptr<Vnode>(std::make_shared<ConvDirVnode>(
-            proto_, proto_idx_, conv, shared_from_this()));
-      }
-    }
-    return Error(kErrNotExist);
-  }
-
-  Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    std::vector<Dir> entries;
-    Dir clone;
-    clone.name = "clone";
-    clone.qid = Qid{QidClone(proto_idx_), 0};
-    clone.mode = 0666;
-    clone.type = 'I';
-    entries.push_back(std::move(clone));
-    size_t n = proto_->ConvCount();
-    for (size_t c = 0; c < n; c++) {
-      NetConv* conv = proto_->Conv(c);
-      if (conv == nullptr) {
-        continue;
-      }
-      Dir d;
-      d.name = StrFormat("%zu", c);
-      d.uid = conv->owner();
-      d.gid = conv->owner();
-      d.qid = Qid{QidConv(proto_idx_, c) | kQidDirBit, 0};
-      d.mode = kDmDir | 0555;
-      d.type = 'I';
-      entries.push_back(std::move(d));
-    }
-    return PackDirEntries(entries, offset, count);
-  }
-
- private:
-  NetProto* proto_;
-  size_t proto_idx_;
-  std::shared_ptr<Vnode> parent_;
-};
-
-class NetRootVnode : public Vnode, public std::enable_shared_from_this<NetRootVnode> {
- public:
-  explicit NetRootVnode(const std::vector<NetProto*>* protos)
-      : protos_(protos) {}
-
-  Qid qid() override { return Qid{QidRoot() | kQidDirBit, 0}; }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = "net";
-    d.qid = qid();
-    d.mode = kDmDir | 0555;
-    d.type = 'I';
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    if (name == "." || name == "..") {
-      return std::shared_ptr<Vnode>(shared_from_this());
-    }
-    for (size_t k = 0; k < kObsFileCount; k++) {
-      if (name == kObsFiles[k]) {
-        return std::shared_ptr<Vnode>(std::make_shared<ObsFileVnode>(k));
-      }
-    }
-    for (size_t p = 0; p < protos_->size(); p++) {
-      if ((*protos_)[p]->name() == name) {
-        return std::shared_ptr<Vnode>(std::make_shared<ProtoDirVnode>(
-            (*protos_)[p], p, shared_from_this()));
-      }
-    }
-    return Error(kErrNotExist);
-  }
-
-  Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    std::vector<Dir> entries;
-    for (size_t k = 0; k < kObsFileCount; k++) {
-      Dir d;
-      d.name = kObsFiles[k];
-      d.qid = Qid{QidObsFile(k), 0};
-      d.mode = d.name == "ctl" || d.name == "chaos" ? 0666 : 0444;
-      d.type = 'I';
-      entries.push_back(std::move(d));
-    }
-    for (size_t p = 0; p < protos_->size(); p++) {
-      Dir d;
-      d.name = (*protos_)[p]->name();
-      d.qid = Qid{QidProto(p) | kQidDirBit, 0};
-      d.mode = kDmDir | 0555;
-      d.type = 'I';
-      entries.push_back(std::move(d));
-    }
-    return PackDirEntries(entries, offset, count);
-  }
-
- private:
-  const std::vector<NetProto*>* protos_;
-};
+    NetProto* proto = (*protos)[p];
+    return GenEntry{Entry(proto->name(), QidProto(p), kDmDir | 0555),
+                    GenDirVnode::Subdir(ProtoGen(proto, p))};
+  };
+}
 
 }  // namespace
 
 Result<std::shared_ptr<Vnode>> NetDirVfs::Attach(const std::string& uname,
                                                  const std::string& aname) {
-  return std::shared_ptr<Vnode>(std::make_shared<NetRootVnode>(&protos_));
+  return GenDirVnode::Root(Entry("net", QidRoot(), kDmDir | 0555), RootGen(&protos_));
 }
 
 }  // namespace plan9

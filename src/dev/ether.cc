@@ -168,12 +168,7 @@ Result<std::string> EtherProto::InfoText(NetConv* conv, const std::string& file)
 }
 
 Status EtherProto::Transmit(MacAddr dst, uint16_t type, Bytes payload) {
-  EtherFrame frame;
-  frame.dst = dst;
-  frame.src = mac_;
-  frame.type = type;
-  frame.payload = std::move(payload);
-  return segment_->Send(frame);
+  return segment_->Send(EtherFrame{dst, mac_, type, std::move(payload)});
 }
 
 void EtherProto::UpdatePromiscuity() {

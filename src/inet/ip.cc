@@ -326,12 +326,7 @@ Status IpStack::SendOnInterface(Interface& ifc, Ipv4Addr next_hop, const Bytes& 
   // Ether: resolve next_hop via ARP.
   auto arp = ifc.arp_table.find(next_hop.v);
   if (arp != ifc.arp_table.end()) {
-    EtherFrame frame;
-    frame.dst = arp->second;
-    frame.src = ifc.mac;
-    frame.type = kEtherTypeIp;
-    frame.payload = ip_packet;
-    return ifc.segment->Send(frame);
+    return ifc.segment->Send(EtherFrame{arp->second, ifc.mac, kEtherTypeIp, ip_packet});
   }
   // Queue the packet and broadcast an ARP request.
   auto& pending = ifc.arp_pending[next_hop.v];
@@ -349,12 +344,7 @@ Status IpStack::SendOnInterface(Interface& ifc, Ipv4Addr next_hop, const Bytes& 
   Put32(a + 14, ifc.addr.v);
   std::memset(a + 18, 0, 6);
   Put32(a + 24, next_hop.v);
-  EtherFrame frame;
-  frame.dst = kEtherBroadcast;
-  frame.src = ifc.mac;
-  frame.type = kEtherTypeArp;
-  frame.payload = std::move(arp_req);
-  return ifc.segment->Send(frame);
+  return ifc.segment->Send(EtherFrame{kEtherBroadcast, ifc.mac, kEtherTypeArp, std::move(arp_req)});
 }
 
 void IpStack::EtherInput(size_t ifc_index, const EtherFrame& frame) {
@@ -414,19 +404,14 @@ void IpStack::ArpInput(size_t ifc_index, const EtherFrame& frame) {
       send_reply = true;
     }
     if (!flush.empty()) {
-      EtherFrame out;
-      out.src = ifc.mac;
-      out.dst = sender_mac;
-      out.type = kEtherTypeIp;
       for (auto& pkt : flush) {
-        out.payload = std::move(pkt);
-        (void)ifc.segment->Send(out);
+        (void)ifc.segment->Send(EtherFrame{sender_mac, ifc.mac, kEtherTypeIp, std::move(pkt)});
       }
       flush.clear();
     }
   }
   if (send_reply && segment != nullptr) {
-    (void)segment->Send(reply);
+    (void)segment->Send(std::move(reply));
   }
 }
 

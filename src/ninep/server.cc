@@ -53,6 +53,52 @@ Result<Bytes> PackDirEntries(const std::vector<Dir>& entries, uint64_t offset,
   return out;
 }
 
+Result<Dir> GenVnode::Stat() {
+  for (size_t i = 0; auto e = in_(i); i++) {
+    if (e->dir.qid.path == qid_.path) {
+      return std::move(e->dir);
+    }
+  }
+  return Error(kErrNotExist);
+}
+
+std::shared_ptr<Vnode> GenDirVnode::Root(Dir self, DirGen gen) {
+  Qid qid = self.qid;
+  DirGen in = [self = std::move(self)](size_t i) -> std::optional<GenEntry> {
+    return i == 0 ? std::optional<GenEntry>(GenEntry{self, nullptr}) : std::nullopt;
+  };
+  return std::make_shared<GenDirVnode>(std::move(in), qid, std::move(gen), nullptr);
+}
+
+decltype(GenEntry::make) GenDirVnode::Subdir(DirGen gen) {
+  return [gen = std::move(gen)](const std::shared_ptr<GenDirVnode>& in, Qid qid) {
+    return std::make_shared<GenDirVnode>(in->gen(), qid, gen, in);
+  };
+}
+
+Result<std::shared_ptr<Vnode>> GenDirVnode::Walk(const std::string& name) {
+  if (name == "." || (name == ".." && parent_ == nullptr)) {
+    return std::shared_ptr<Vnode>(shared_from_this());
+  }
+  if (name == "..") {
+    return parent_;
+  }
+  for (size_t i = 0; auto e = gen_(i); i++) {
+    if (e->dir.name == name) {
+      return e->make(shared_from_this(), e->dir.qid);
+    }
+  }
+  return Error(kErrNotExist);
+}
+
+Result<Bytes> GenDirVnode::Read(uint64_t offset, uint32_t count) {
+  std::vector<Dir> entries;
+  for (size_t i = 0; auto e = gen_(i); i++) {
+    entries.push_back(std::move(e->dir));
+  }
+  return PackDirEntries(entries, offset, count);
+}
+
 NinepServer::NinepServer(Vfs* vfs, std::unique_ptr<MsgTransport> transport,
                          std::string name, std::string host)
     : vfs_(vfs), transport_(std::move(transport)), host_(std::move(host)) {

@@ -9,8 +9,10 @@
 #define SRC_NINEP_SERVER_H_
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -35,7 +37,9 @@ class Vnode {
   virtual Result<Dir> Stat() = 0;
 
   // Walk one component ("." and ".." included).  Only meaningful on dirs.
-  virtual Result<std::shared_ptr<Vnode>> Walk(const std::string& name) = 0;
+  virtual Result<std::shared_ptr<Vnode>> Walk(const std::string& name) {
+    return Error(kErrNotDir);
+  }
 
   // Prepare for I/O.  `user` is the attach uname.  MAY_BLOCK: device vnodes
   // (devproto) block in Open on Listen/WaitReady — the reason the server
@@ -75,6 +79,63 @@ class Vfs {
 // Helper: serve a directory read from a materialized entry list.
 Result<Bytes> PackDirEntries(const std::vector<Dir>& entries, uint64_t offset,
                              uint32_t count);
+
+// Synthetic file trees, generated as Plan 9's devgen generates them.  A
+// directory is one function: gen(i) describes its i-th entry, the Dir and
+// how to make the entry's vnode, and returns nullopt past the last.  The
+// directory's Walk and Read and every entry's Stat all call it, so a
+// listing and a Stat cannot disagree.
+class GenDirVnode;
+struct GenEntry {
+  Dir dir;
+  // Makes the vnode walked to; `in` is the directory holding it.
+  std::function<std::shared_ptr<Vnode>(const std::shared_ptr<GenDirVnode>& in, Qid qid)>
+      make;
+};
+using DirGen = std::function<std::optional<GenEntry>(size_t i)>;
+
+// An entry of a generated directory.  Its Stat is the entry whose qid it
+// carries in the gen of the directory holding it (devstat).  Files derive
+// from it and add Open/Read/Write.
+class GenVnode : public Vnode {
+ public:
+  GenVnode(DirGen in, Qid qid) : in_(std::move(in)), qid_(qid) {}
+  Qid qid() override { return qid_; }
+  Result<Dir> Stat() override;
+
+ protected:
+  // The vnode now stands for another entry (devproto: an opened clone or
+  // listen file becomes a conversation's ctl).
+  void Become(DirGen in, Qid qid) {
+    in_ = std::move(in);
+    qid_ = qid;
+  }
+
+ private:
+  DirGen in_;
+  Qid qid_;
+};
+
+// The generated directory: Walk and Read over `gen`; ".." is `parent`, or
+// the directory itself at a root.
+class GenDirVnode : public GenVnode, public std::enable_shared_from_this<GenDirVnode> {
+ public:
+  GenDirVnode(DirGen in, Qid qid, DirGen gen, std::shared_ptr<Vnode> parent)
+      : GenVnode(std::move(in), qid), gen_(std::move(gen)), parent_(std::move(parent)) {}
+
+  // The root of a tree: `self` is its own Dir.
+  static std::shared_ptr<Vnode> Root(Dir self, DirGen gen);
+  // GenEntry::make for a subdirectory generated by `gen`.
+  static decltype(GenEntry::make) Subdir(DirGen gen);
+
+  const DirGen& gen() const { return gen_; }
+  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override;
+  Result<Bytes> Read(uint64_t offset, uint32_t count) override;
+
+ private:
+  DirGen gen_;
+  std::shared_ptr<Vnode> parent_;
+};
 
 class NinepServer {
  public:

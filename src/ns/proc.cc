@@ -49,10 +49,6 @@ class PipeEndVnode : public Vnode {
     return d;
   }
 
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    return Error(kErrNotDir);
-  }
-
   Result<Bytes> Read(uint64_t offset, uint32_t count) override {
     Bytes buf(count);
     auto n = pair_->ends[side_]->Read(buf.data(), buf.size());

@@ -74,10 +74,7 @@ Result<EtherFrame> EtherFrame::Unpack(const Bytes& raw) {
 }
 
 EtherSegment::EtherSegment(LinkParams params) : shared_(std::make_shared<Shared>()) {
-  auto now = TimerWheel::Clock::now();
-  shared_->params = params;
-  shared_->faults.Reconfigure(params.faults, params.seed, now);
-  shared_->busy_until = now;
+  shared_->tx.Configure(params, params.seed, TimerWheel::Clock::now());
 }
 
 EtherSegment::~EtherSegment() {
@@ -109,46 +106,18 @@ void EtherSegment::SetPromiscuous(StationId id, bool on) {
   }
 }
 
-Status EtherSegment::Send(const EtherFrame& frame) {
+Status EtherSegment::Send(EtherFrame frame) {
   auto shared = shared_;
-  TimerWheel::Clock::duration delay;
-  TimerWheel::Clock::duration tx_time{0};
-  size_t frame_size = kEtherHeaderSize + frame.payload.size();
-  EtherFrame delivered = frame;
-  bool duplicate = false;
+  Transmitter::Plan plan;
   {
     QLockGuard guard(shared->lock);
-    if (shared->down) {
-      return Error(kErrShutdown);
-    }
-    if (frame_size > shared->params.mtu) {
-      shared->stats.send_errors.Inc();
-      return Error(StrFormat("frame too large for medium (%zu > %zu)", frame_size,
-                             shared->params.mtu));
-    }
-    shared->stats.frames_sent.Inc();
-    shared->stats.bytes_sent.Inc(frame_size);
-    auto now = TimerWheel::Clock::now();
-    auto fault = shared->faults.Evaluate(now, delivered.payload.size());
-    if (fault.drop) {
-      shared->stats.frames_dropped.Inc();
-      return Status::Ok();
-    }
-    if (fault.corrupt) {
-      // Damage the payload, not the header: a corrupted destination would
-      // just look like loss, which the burst model already covers.
-      FaultInjector::ApplyCorruption(&delivered.payload, fault.corrupt_bit);
-    }
-    duplicate = fault.duplicate;
-    if (shared->params.bandwidth_bps > 0) {
-      tx_time = std::chrono::nanoseconds(frame_size * 8ULL * 1'000'000'000ULL /
-                                         shared->params.bandwidth_bps);
-    }
-    auto start = std::max(now, shared->busy_until);
-    shared->busy_until = start + tx_time;
-    delay = (shared->busy_until + shared->params.latency) - now + fault.extra_delay;
+    // Damage hits the payload, not the header: a corrupted destination
+    // would just look like loss, which the burst model already covers.
+    P9_ASSIGN_OR_RETURN(plan, shared->tx.Transmit(shared->down ? kErrShutdown : nullptr,
+                                                  kEtherHeaderSize + frame.payload.size(),
+                                                  &frame.payload));
   }
-  auto deliver = [shared, frame = std::move(delivered)]() {
+  plan.Schedule([shared, frame = std::move(frame)]() {
     std::vector<RecvFn> receivers;
     {
       QLockGuard guard(shared->lock);
@@ -163,36 +132,30 @@ Status EtherSegment::Send(const EtherFrame& frame) {
         }
       }
       if (!receivers.empty()) {
-        shared->stats.frames_delivered.Inc();
-        shared->stats.bytes_delivered.Inc(kEtherHeaderSize + frame.payload.size());
+        shared->tx.stats.frames_delivered.Inc();
+        shared->tx.stats.bytes_delivered.Inc(kEtherHeaderSize + frame.payload.size());
       }
     }
     for (auto& recv : receivers) {
       recv(frame);
     }
-  };
-  if (duplicate) {
-    // The copy re-serializes behind the original, so it lands strictly later.
-    TimerWheel::Default().Schedule(delay + tx_time + std::chrono::microseconds(1),
-                                   deliver);
-  }
-  TimerWheel::Default().Schedule(delay, std::move(deliver));
+  });
   return Status::Ok();
 }
 
 const MediaStats& EtherSegment::stats() {
   QLockGuard guard(shared_->lock);
-  return shared_->stats;
+  return shared_->tx.stats;
 }
 
 const FaultStats& EtherSegment::fault_stats() {
   QLockGuard guard(shared_->lock);
-  return shared_->faults.stats();
+  return shared_->tx.faults.stats();
 }
 
 void EtherSegment::SetPartitioned(bool down) {
   QLockGuard guard(shared_->lock);
-  shared_->faults.SetDown(down);
+  shared_->tx.faults.SetDown(down);
 }
 
 size_t EtherSegment::station_count() {

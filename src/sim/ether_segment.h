@@ -57,7 +57,7 @@ class EtherSegment {
   void SetPromiscuous(StationId id, bool on);
 
   // Queue a frame for transmission on the cable.
-  Status Send(const EtherFrame& frame);
+  Status Send(EtherFrame frame);
 
   const MediaStats& stats();
   const FaultStats& fault_stats();
@@ -79,10 +79,7 @@ class EtherSegment {
     // A leaf lock: held only across bookkeeping; delivery callbacks run
     // with it dropped.
     QLock lock{"sim.ether"};
-    LinkParams params GUARDED_BY(lock);
-    FaultInjector faults GUARDED_BY(lock);
-    TimerWheel::Clock::time_point busy_until GUARDED_BY(lock);
-    MediaStats stats;  // atomic counters; readable without the lock
+    Transmitter tx GUARDED_BY(lock);
     std::vector<Station> stations GUARDED_BY(lock);
     StationId next_id GUARDED_BY(lock) = 1;
     bool down GUARDED_BY(lock) = false;

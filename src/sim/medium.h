@@ -10,9 +10,14 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <optional>
 
+#include "src/base/bytes.h"
+#include "src/base/result.h"
 #include "src/obs/metrics.h"
 #include "src/sim/faults.h"
+#include "src/task/timers.h"
 
 namespace plan9 {
 
@@ -74,6 +79,37 @@ struct MediaStats {
   obs::Counter bytes_sent;
   obs::Counter bytes_delivered;
   obs::Counter send_errors;  // oversize etc.
+};
+
+// The transmit model every medium shares: a line that serializes one frame
+// at a time at the configured bandwidth, then the propagation latency, the
+// fault injector's verdict and the counters.  Used under the medium's lock.
+struct Transmitter {
+  LinkParams params;
+  FaultInjector faults;
+  TimerWheel::Clock::time_point busy_until;
+  MediaStats stats;  // atomic counters; readable without the lock
+
+  // When a sent frame arrives: after `delay`, and again after `duplicate`
+  // when the injector duplicated it; never when it was lost.
+  struct Plan {
+    bool lost = false;
+    TimerWheel::Clock::duration delay{0};
+    std::optional<TimerWheel::Clock::duration> duplicate;
+
+    // Run `deliver` on the timer kproc at each arrival (the duplicate runs
+    // a copy).
+    void Schedule(std::function<void()> deliver) const;
+  };
+
+  // `now` is the fault script's epoch, shared by a medium's directions.
+  void Configure(const LinkParams& link, uint64_t seed, TimerWheel::Clock::time_point now);
+
+  // Puts one frame of `frame_size` bytes on the line.  Fails with `closed`
+  // (the medium's own error) when that is set, and on oversize.  Fault
+  // evaluation and bit damage cover `corruptible`: the whole frame on a
+  // wire, the payload on an ether.
+  Result<Plan> Transmit(const char* closed, size_t frame_size, Bytes* corruptible);
 };
 
 }  // namespace plan9

@@ -51,11 +51,7 @@ class Wire {
   void SetPartitioned(bool down);
 
  private:
-  struct Direction {
-    LinkParams params;
-    FaultInjector faults;
-    TimerWheel::Clock::time_point busy_until;
-    MediaStats stats;  // atomic counters; readable without the lock
+  struct Direction : Transmitter {
     RecvFn recv;  // callback of the *receiving* end
   };
 

@@ -21,7 +21,7 @@ TimerId TimerWheel::Schedule(Clock::duration delay, std::function<void()> fn) {
     QLockGuard guard(lock_);
     id = next_id_++;
     Clock::time_point when = Clock::now() + delay;
-    queue_.emplace(when, std::make_pair(id, std::move(fn)));
+    queue_.emplace(std::make_pair(when, id), std::move(fn));
     index_.emplace(id, when);
   }
   wake_.Wakeup();
@@ -34,13 +34,7 @@ bool TimerWheel::Cancel(TimerId id) {
   if (it == index_.end()) {
     return false;
   }
-  auto range = queue_.equal_range(it->second);
-  for (auto q = range.first; q != range.second; ++q) {
-    if (q->second.first == id) {
-      queue_.erase(q);
-      break;
-    }
-  }
+  queue_.erase({it->second, id});
   index_.erase(it);
   return true;
 }
@@ -62,7 +56,7 @@ void TimerWheel::Loop() {
       wake_.Sleep(lock_);
       continue;
     }
-    auto next = queue_.begin()->first;
+    auto next = queue_.begin()->first.first;
     if (Clock::now() < next) {
       wake_.SleepUntil(lock_, next);
       continue;
@@ -71,10 +65,10 @@ void TimerWheel::Loop() {
     // schedule or cancel timers (and take conversation locks).
     std::vector<std::function<void()>> due;
     auto now = Clock::now();
-    while (!queue_.empty() && queue_.begin()->first <= now) {
+    while (!queue_.empty() && queue_.begin()->first.first <= now) {
       auto it = queue_.begin();
-      index_.erase(it->second.first);
-      due.push_back(std::move(it->second.second));
+      index_.erase(it->first.second);
+      due.push_back(std::move(it->second));
       queue_.erase(it);
     }
     executing_ = true;

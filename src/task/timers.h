@@ -54,11 +54,6 @@ class TimerWheel {
   static TimerWheel& Default();
 
  private:
-  struct Entry {
-    Clock::time_point when;
-    std::function<void()> fn;
-  };
-
   void Loop();
 
   // Leaf lock of the hierarchy (DESIGN.md): conversations call
@@ -67,7 +62,9 @@ class TimerWheel {
   QLock lock_{"timer"};
   Rendez wake_;
   Rendez drained_;
-  std::multimap<Clock::time_point, std::pair<TimerId, std::function<void()>>> queue_
+  // Keyed by (deadline, id): ids increase, so equal deadlines fire in the
+  // order they were scheduled, and Cancel erases its one key.
+  std::map<std::pair<Clock::time_point, TimerId>, std::function<void()>> queue_
       GUARDED_BY(lock_);
   std::map<TimerId, Clock::time_point> index_ GUARDED_BY(lock_);
   TimerId next_id_ GUARDED_BY(lock_) = 1;

@@ -9,8 +9,11 @@
 #include "src/base/strings.h"
 #include "src/dial/dial.h"
 #include "src/ndb/ndb.h"
+#include "src/ninep/ramfs.h"
+#include "src/ns/proc.h"
 #include "src/sim/datakit.h"
 #include "src/sim/ether_segment.h"
+#include "src/sim/wire.h"
 #include "src/world/boot.h"
 #include "src/world/node.h"
 
@@ -83,6 +86,104 @@ TEST_F(WorldTest, NetDirectoryHasConventionalShape) {
   for (const char* want : {"cs", "dns", "tcp", "udp", "il", "ether0", "dk"}) {
     EXPECT_TRUE(names.count(want)) << "missing /net/" << want;
   }
+}
+
+// One line per directory entry: everything a listing and a Stat both say.
+std::string DescribeEntry(const std::string& path, const Dir& d) {
+  return StrFormat("%s: %s qid %08x.%u mode %o type %u uid %s gid %s len %llu\n",
+                   path.c_str(), d.name.c_str(), d.qid.path, d.qid.vers, d.mode,
+                   d.type, d.uid.c_str(), d.gid.c_str(),
+                   static_cast<unsigned long long>(d.length));
+}
+
+// Reads every directory under `dir` and Stats each entry it lists; the two
+// must describe the entry identically.  Returns the tree, one entry a line.
+std::string ListAndStat(Proc* proc, const std::string& dir) {
+  auto entries = proc->ReadDir(dir);
+  EXPECT_TRUE(entries.ok()) << dir;
+  std::string tree;
+  for (const Dir& listed : entries.ok() ? *entries : std::vector<Dir>{}) {
+    std::string path = (dir == "/" ? "" : dir) + "/" + listed.name;
+    auto stat = proc->Stat(path);
+    EXPECT_TRUE(stat.ok()) << path;
+    if (stat.ok()) {
+      EXPECT_EQ(DescribeEntry(path, *stat), DescribeEntry(path, listed));
+    }
+    tree += DescribeEntry(path, listed);
+    if (listed.qid.IsDir()) {
+      tree += ListAndStat(proc, path);
+    }
+  }
+  return tree;
+}
+
+// The /net tree of the node below, as its listings describe it.  /net/cs
+// and /net/dns are the query files (device type 'x'), everything else the
+// protocol devices ('I').
+constexpr char kNetTree[] =
+    "/net/stats: stats qid 00000002.0 mode 444 type 73 uid none gid none len 0\n"
+    "/net/trace: trace qid 00000003.0 mode 444 type 73 uid none gid none len 0\n"
+    "/net/log: log qid 00000004.0 mode 444 type 73 uid none gid none len 0\n"
+    "/net/ctl: ctl qid 00000005.0 mode 666 type 73 uid none gid none len 0\n"
+    "/net/chaos: chaos qid 00000006.0 mode 666 type 73 uid none gid none len 0\n"
+    "/net/tcp: tcp qid 80100000.0 mode 20000000555 type 73 uid none gid none len 0\n"
+    "/net/tcp/clone: clone qid 00100001.0 mode 666 type 73 uid none gid none len 0\n"
+    "/net/udp: udp qid 80200000.0 mode 20000000555 type 73 uid none gid none len 0\n"
+    "/net/udp/clone: clone qid 00200001.0 mode 666 type 73 uid none gid none len 0\n"
+    "/net/udp/0: 0 qid 80200100.0 mode 20000000555 type 73 uid glenda gid glenda len 0\n"
+    "/net/udp/0/ctl: ctl qid 00200102.0 mode 666 type 73 uid glenda gid glenda len 0\n"
+    "/net/udp/0/data: data qid 00200103.0 mode 666 type 73 uid glenda gid glenda len 0\n"
+    "/net/udp/0/listen: listen qid 00200104.0 mode 666 type 73 uid glenda gid glenda len 0\n"
+    "/net/udp/0/local: local qid 00200105.0 mode 666 type 73 uid glenda gid glenda len 0\n"
+    "/net/udp/0/remote: remote qid 00200106.0 mode 666 type 73 uid glenda gid glenda len 0\n"
+    "/net/udp/0/status: status qid 00200107.0 mode 666 type 73 uid glenda gid glenda len 0\n"
+    "/net/il: il qid 80300000.0 mode 20000000555 type 73 uid none gid none len 0\n"
+    "/net/il/clone: clone qid 00300001.0 mode 666 type 73 uid none gid none len 0\n"
+    "/net/il/0: 0 qid 80300100.0 mode 20000000555 type 73 uid glenda gid glenda len 0\n"
+    "/net/il/0/ctl: ctl qid 00300102.0 mode 666 type 73 uid glenda gid glenda len 0\n"
+    "/net/il/0/data: data qid 00300103.0 mode 666 type 73 uid glenda gid glenda len 0\n"
+    "/net/il/0/listen: listen qid 00300104.0 mode 666 type 73 uid glenda gid glenda len 0\n"
+    "/net/il/0/local: local qid 00300105.0 mode 666 type 73 uid glenda gid glenda len 0\n"
+    "/net/il/0/remote: remote qid 00300106.0 mode 666 type 73 uid glenda gid glenda len 0\n"
+    "/net/il/0/status: status qid 00300107.0 mode 666 type 73 uid glenda gid glenda len 0\n"
+    "/net/il/0/stats: stats qid 00300108.0 mode 666 type 73 uid glenda gid glenda len 0\n"
+    "/net/ether0: ether0 qid 80400000.0 mode 20000000555 type 73 uid none gid none len 0\n"
+    "/net/ether0/clone: clone qid 00400001.0 mode 666 type 73 uid none gid none len 0\n"
+    "/net/dk: dk qid 80500000.0 mode 20000000555 type 73 uid none gid none len 0\n"
+    "/net/dk/clone: clone qid 00500001.0 mode 666 type 73 uid none gid none len 0\n"
+    "/net/cyclone: cyclone qid 80600000.0 mode 20000000555 type 73 uid none gid none len 0\n"
+    "/net/cyclone/clone: clone qid 00600001.0 mode 666 type 73 uid none gid none len 0\n"
+    "/net/dns: dns qid 00000d2f.0 mode 666 type 120 uid none gid none len 0\n"
+    "/net/cs: cs qid 000000c5.0 mode 666 type 120 uid none gid none len 0\n";
+
+TEST_F(WorldTest, DirectoryListingsAgreeWithStat) {
+  // All six protocol devices, with one announced and one connected
+  // conversation, plus /net/cs and /net/dns in the union.
+  Wire fiber(LinkParams::Cyclone());
+  helix_->AddCyclone(&fiber, Wire::kA);
+  auto proc = helix_->NewProc();
+  std::string adir, cdir;
+  auto announced = Announce(proc.get(), "il!*!17008", &adir);
+  ASSERT_TRUE(announced.ok());
+  auto connected = Dial(proc.get(), "udp!135.104.9.6!53", &cdir);
+  ASSERT_TRUE(connected.ok());
+  EXPECT_EQ(ListAndStat(proc.get(), "/net"), kNetTree);
+  // The announced fd is an opened clone: it stats as its conversation's ctl.
+  auto ctl = proc->Fstat(*announced);
+  ASSERT_TRUE(ctl.ok());
+  EXPECT_EQ(ctl->qid.path, 0x00300102u);
+
+  // A RamFs tree: nested directories and files.
+  RamFs fs;
+  ASSERT_TRUE(fs.MkdirAll("lib/ndb").ok());
+  ASSERT_TRUE(fs.WriteFile("lib/ndb/local", "sys=helix\n").ok());
+  ASSERT_TRUE(fs.WriteFile("motd", "hello").ok());
+  Proc ram(std::make_shared<Namespace>(&fs), "glenda");
+  EXPECT_EQ(ListAndStat(&ram, "/"),
+            "/lib: lib qid 80000002.1 mode 20000000775 type 114 uid sys gid sys len 0\n"
+            "/lib/ndb: ndb qid 80000003.1 mode 20000000775 type 114 uid sys gid sys len 0\n"
+            "/lib/ndb/local: local qid 00000004.1 mode 664 type 114 uid sys gid sys len 10\n"
+            "/motd: motd qid 00000005.1 mode 664 type 114 uid sys gid sys len 5\n");
 }
 
 TEST_F(WorldTest, CsQueryMatchesPaperTranscript) {
