@@ -100,7 +100,7 @@ void NetConv::Abort(const std::string& why) {
   bool hangup;
   {
     QLockGuard guard(conv_lock());
-    dying_ = true;  // a racing timer fire must not re-arm
+    StopTimerLocked();
     calls_.clear();
     if (!IdleLocked()) {
       err_ = why;
@@ -140,22 +140,45 @@ void NetConv::ArmTimerLocked(std::chrono::microseconds delay) {
   if (dying_) {
     return;  // teardown in progress: a re-armed timer would fire on freed state
   }
-  CancelTimerLocked();
-  timer_ = TimerWheel::Default().Schedule(delay, [this] { OnTimer(); });
+  deadline_ = TimerWheel::Clock::now() + delay;
+  if (timer_ != kNoTimer && timer_at_ <= deadline_) {
+    return;  // the entry fires first and follows the deadline from there
+  }
+  MoveEntryLocked();
 }
 
-void NetConv::CancelTimerLocked() {
+void NetConv::MoveEntryLocked() {
   if (timer_ != kNoTimer) {
     TimerWheel::Default().Cancel(timer_);
     timer_ = kNoTimer;
+    timer_gen_++;
+  }
+  if (deadline_ != kDisarmed) {
+    timer_at_ = deadline_;
+    timer_ = TimerWheel::Default().ScheduleAt(deadline_,
+                                              [this, gen = timer_gen_] { OnTimer(gen); });
   }
 }
 
-void NetConv::OnTimer() {
+void NetConv::StopTimerLocked() {
+  dying_ = true;  // a racing timer fire must not re-arm
+  deadline_ = kDisarmed;
+  MoveEntryLocked();
+}
+
+void NetConv::OnTimer(uint64_t gen) {
   bool hangup;
   {
     QLockGuard guard(conv_lock());
+    if (gen != timer_gen_) {
+      return;  // removed while it was already running
+    }
     timer_ = kNoTimer;
+    if (TimerWheel::Clock::now() < deadline_) {
+      MoveEntryLocked();  // fired early or disarmed: follow the deadline
+      return;
+    }
+    deadline_ = kDisarmed;
     TimerLocked();
     hangup = std::exchange(hangup_pending_, false);
   }
@@ -234,8 +257,7 @@ void NetProto::Abort(const std::string& why) {
 void NetProto::Quiesce() {
   for (NetConv* c : Snapshot()) {
     QLockGuard guard(c->conv_lock());
-    c->dying_ = true;  // a racing timer fire must not re-arm
-    c->CancelTimerLocked();
+    c->StopTimerLocked();
   }
   TimerWheel::Default().Drain();
 }

@@ -199,9 +199,12 @@ class NetConv {
   // After conv_lock() is dropped: finish a deferred hangup, then wake every
   // sleeper.
   void Settle(bool hangup);
+  // The protocol timer: TimerLocked runs once `delay` from now has passed.
+  // Arming replaces the deadline, cancelling clears it.  Both are cheap
+  // enough for every message: see deadline_.
   void ArmTimerLocked(std::chrono::microseconds delay);
-  void CancelTimerLocked();
-  bool TimerArmedLocked() const { return timer_ != kNoTimer; }
+  void CancelTimerLocked() { deadline_ = kDisarmed; }
+  bool TimerArmedLocked() const { return deadline_ != kDisarmed; }
   NetProto* proto() const { return proto_; }
 
   int index_;
@@ -216,16 +219,33 @@ class NetConv {
 
  private:
   static constexpr int kTraceRttBudget = 32;
+  static constexpr TimerWheel::Clock::time_point kDisarmed =
+      TimerWheel::Clock::time_point::max();
 
   bool Claim();  // the reuse rule; RecycleLocked() when it holds
-  void OnTimer();
+  void OnTimer(uint64_t gen);
+  // Puts the wheel entry at deadline_, or removes it when disarmed.
+  void MoveEntryLocked();
+  // Teardown: remove the wheel entry and never arm again.
+  void StopTimerLocked();
 
   NetProto* const proto_;
   // Guarded by conv_lock().
   bool slot_free_ = true;  // hangup complete: the protocol is done with it
   bool hungup_ = false;    // HangupLocked ran since the slot was claimed
   bool dying_ = false;     // proto teardown: never re-arm the timer
+  // The protocol timer is a deadline plus at most one wheel entry, which
+  // fires at or before it (DESIGN.md §8).  IL re-arms on every send and
+  // every ack, long before the timeout expires, so re-arming to a later
+  // deadline only stores it; the entry fires early, finds the deadline
+  // ahead and re-schedules itself there.  Only an earlier deadline moves
+  // the entry.
+  TimerWheel::Clock::time_point deadline_ = kDisarmed;
   TimerId timer_ = kNoTimer;
+  TimerWheel::Clock::time_point timer_at_;  // when timer_ fires
+  // Bumped when timer_ is removed, so an entry that was already running
+  // when it was removed finds itself stale.
+  uint64_t timer_gen_ = 0;
   std::deque<int> calls_;  // the listen queue
 
   std::atomic<uint64_t> trace_hi_{0};

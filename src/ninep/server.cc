@@ -15,6 +15,14 @@ obs::Counter& ServedCounter() {
   return *c;
 }
 
+// Times a worker woke and found no request to take (ninep.srv.idle-wakeups):
+// the cost of waking more workers than there is work for.
+obs::Counter& IdleWakeupCounter() {
+  static obs::Counter* c =
+      &obs::MetricsRegistry::Default().CounterNamed("ninep.srv.idle-wakeups");
+  return *c;
+}
+
 // Span op name per request type (DESIGN.md §12 grammar: "9p.server.<op>").
 const char* ServerSpanOp(FcallType t) {
   switch (t) {
@@ -149,7 +157,8 @@ void NinepServer::ReaderLoop() {
       outstanding_.insert(req->tag);
       work_.push_back(req.take());
     }
-    work_ready_.Wakeup();
+    // One request is one unit of work: wake one idle worker, not the pool.
+    work_ready_.WakeupOne();
   }
   {
     QLockGuard guard(lock_);
@@ -163,7 +172,12 @@ void NinepServer::Worker() {
     Fcall req;
     {
       QLockGuard guard(lock_);
-      work_ready_.Sleep(lock_, [&]() REQUIRES(lock_) { return stopping_ || !work_.empty(); });
+      while (!stopping_ && work_.empty()) {
+        work_ready_.Sleep(lock_);
+        if (!stopping_ && work_.empty()) {
+          IdleWakeupCounter().Inc();
+        }
+      }
       if (work_.empty()) {
         return;  // stopping
       }

@@ -80,30 +80,35 @@ EtherSegment::EtherSegment(LinkParams params) : shared_(std::make_shared<Shared>
 EtherSegment::~EtherSegment() {
   QLockGuard guard(shared_->lock);
   shared_->down = true;
-  shared_->stations.clear();
+  shared_->stations = std::make_shared<const std::vector<Station>>();
 }
 
 EtherSegment::StationId EtherSegment::Attach(MacAddr mac, RecvFn fn) {
   QLockGuard guard(shared_->lock);
   StationId id = shared_->next_id++;
-  shared_->stations.push_back(Station{id, mac, std::move(fn), false});
+  auto v = *shared_->stations;
+  v.push_back(Station{id, mac, std::move(fn), false});
+  shared_->stations = std::make_shared<const std::vector<Station>>(std::move(v));
   return id;
 }
 
 void EtherSegment::Detach(StationId id) {
   QLockGuard guard(shared_->lock);
-  auto& v = shared_->stations;
+  auto v = *shared_->stations;
   v.erase(std::remove_if(v.begin(), v.end(), [&](const Station& s) { return s.id == id; }),
           v.end());
+  shared_->stations = std::make_shared<const std::vector<Station>>(std::move(v));
 }
 
 void EtherSegment::SetPromiscuous(StationId id, bool on) {
   QLockGuard guard(shared_->lock);
-  for (auto& s : shared_->stations) {
+  auto v = *shared_->stations;
+  for (auto& s : v) {
     if (s.id == id) {
       s.promiscuous = on;
     }
   }
+  shared_->stations = std::make_shared<const std::vector<Station>>(std::move(v));
 }
 
 Status EtherSegment::Send(EtherFrame frame) {
@@ -118,26 +123,27 @@ Status EtherSegment::Send(EtherFrame frame) {
                                                   &frame.payload));
   }
   plan.Schedule([shared, frame = std::move(frame)]() {
-    std::vector<RecvFn> receivers;
+    auto hears = [&frame](const Station& s) {
+      bool match = s.mac == frame.dst || frame.dst == kEtherBroadcast || s.promiscuous;
+      // A station never hears its own transmission back.
+      return match && s.mac != frame.src && s.recv;
+    };
+    std::shared_ptr<const std::vector<Station>> stations;
     {
       QLockGuard guard(shared->lock);
       if (shared->down) {
         return;
       }
-      for (auto& s : shared->stations) {
-        bool match = s.mac == frame.dst || frame.dst == kEtherBroadcast || s.promiscuous;
-        // A station never hears its own transmission back.
-        if (match && s.mac != frame.src && s.recv) {
-          receivers.push_back(s.recv);
-        }
-      }
-      if (!receivers.empty()) {
+      stations = shared->stations;
+      if (std::any_of(stations->begin(), stations->end(), hears)) {
         shared->tx.stats.frames_delivered.Inc();
         shared->tx.stats.bytes_delivered.Inc(kEtherHeaderSize + frame.payload.size());
       }
     }
-    for (auto& recv : receivers) {
-      recv(frame);
+    for (const Station& s : *stations) {
+      if (hears(s)) {
+        s.recv(frame);
+      }
     }
   });
   return Status::Ok();
@@ -160,7 +166,7 @@ void EtherSegment::SetPartitioned(bool down) {
 
 size_t EtherSegment::station_count() {
   QLockGuard guard(shared_->lock);
-  return shared_->stations.size();
+  return shared_->stations->size();
 }
 
 }  // namespace plan9

@@ -80,7 +80,10 @@ class EtherSegment {
     // with it dropped.
     QLock lock{"sim.ether"};
     Transmitter tx GUARDED_BY(lock);
-    std::vector<Station> stations GUARDED_BY(lock);
+    // Copy-on-write: Attach, Detach and SetPromiscuous replace the list, so
+    // a delivery holds the list it matched against without copying it.
+    std::shared_ptr<const std::vector<Station>> stations GUARDED_BY(lock) =
+        std::make_shared<const std::vector<Station>>();
     StationId next_id GUARDED_BY(lock) = 1;
     bool down GUARDED_BY(lock) = false;
   };

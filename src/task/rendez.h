@@ -95,6 +95,13 @@ class Rendez {
   // here (harmless: spurious wakeups re-check the predicate).
   void Wakeup() { cv_.notify_all(); }
 
+  // Wake one sleeper: Plan 9's wakeup.  Only for a Rendez whose sleepers
+  // all wait for the same condition and where each Wakeup announces one
+  // unit of work (a worker pool's queue), so whichever sleeper wakes can
+  // take it.  Anything else — a shutdown, a state change some sleepers do
+  // not care about — must use Wakeup, or a sleeper is left asleep.
+  void WakeupOne() { cv_.notify_one(); }
+
  private:
   // _any: waits on the QLock itself, so acquisition tracking (lockcheck) and
   // the capability model see the release/re-acquire around the sleep.

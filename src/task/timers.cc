@@ -16,11 +16,14 @@ TimerWheel::~TimerWheel() {
 }
 
 TimerId TimerWheel::Schedule(Clock::duration delay, std::function<void()> fn) {
+  return ScheduleAt(Clock::now() + delay, std::move(fn));
+}
+
+TimerId TimerWheel::ScheduleAt(Clock::time_point when, std::function<void()> fn) {
   TimerId id;
   {
     QLockGuard guard(lock_);
     id = next_id_++;
-    Clock::time_point when = Clock::now() + delay;
     queue_.emplace(std::make_pair(when, id), std::move(fn));
     index_.emplace(id, when);
   }

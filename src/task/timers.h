@@ -36,6 +36,8 @@ class TimerWheel {
   // Run `fn` on the timer kproc after `delay`.  Callbacks must not block for
   // long: they typically put a block on a queue or wake a Rendez.
   TimerId Schedule(Clock::duration delay, std::function<void()> fn);
+  // The same, at the time point `when`.
+  TimerId ScheduleAt(Clock::time_point when, std::function<void()> fn);
 
   // Best-effort cancel; returns true if the callback was removed before it
   // ran.  The callback may be executing concurrently when this returns false.

@@ -17,7 +17,8 @@ namespace {
 
 // A little two-host internet: alice and bob on one Ethernet segment.
 struct TwoHosts {
-  explicit TwoHosts(LinkParams params = LinkParams{.latency = std::chrono::microseconds(50)})
+  explicit TwoHosts(LinkParams params = LinkParams{.latency = std::chrono::microseconds(50),
+                                                   .faults = {}})
       : segment(params),
         alice_ip(Ipv4Addr::FromOctets(135, 104, 9, 31)),
         bob_ip(Ipv4Addr::FromOctets(135, 104, 9, 6)) {
@@ -104,7 +105,7 @@ TEST(Udp, DatagramRoundTripPreservesBoundaries) {
 TEST(Udp, LossyNetworkDropsDatagrams) {
   TwoHosts net{LinkParams{.latency = std::chrono::microseconds(10),
                           .seed = 42,
-                          .faults = {.loss_good = 0.5}}};
+                          .faults = {.loss_good = 0.5, .partitions = {}}}};
   UdpProto audp(&net.alice), budp(&net.bob);
   auto server = budp.Clone();
   ASSERT_TRUE((*server)->Ctl("announce 9").ok());
@@ -160,7 +161,7 @@ class IlTest : public ::testing::Test {
 };
 
 TEST_F(IlTest, ConnectTransferClose) {
-  Build(LinkParams{.latency = std::chrono::microseconds(50)});
+  Build(LinkParams{.latency = std::chrono::microseconds(50), .faults = {}});
   Dial();
   ASSERT_TRUE(client_conv_->Write(reinterpret_cast<const uint8_t*>("hello il"), 8).ok());
   EXPECT_EQ(ReadSome(accepted_), "hello il");
@@ -172,7 +173,7 @@ TEST_F(IlTest, ConnectTransferClose) {
 }
 
 TEST_F(IlTest, PreservesMessageBoundaries) {
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   Dial();
   for (int i = 0; i < 10; i++) {
     std::string msg = "message-" + std::to_string(i);
@@ -189,7 +190,7 @@ TEST_F(IlTest, ReliableUnderLoss) {
   // 15% loss each way: IL must deliver everything, in order.
   Build(LinkParams{.latency = std::chrono::microseconds(20),
                    .seed = 7,
-                   .faults = {.loss_good = 0.15}});
+                   .faults = {.loss_good = 0.15, .partitions = {}}});
   Dial();
   constexpr int kMessages = 60;
   std::thread sender([&] {
@@ -210,7 +211,7 @@ TEST_F(IlTest, ReliableUnderLoss) {
 }
 
 TEST_F(IlTest, LargeMessagesFragmentAndReassemble) {
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   Dial();
   Bytes big(16 * 1024);
   for (size_t i = 0; i < big.size(); i++) {
@@ -233,7 +234,7 @@ TEST_F(IlTest, LargeMessagesFragmentAndReassemble) {
 TEST_F(IlTest, ConcurrentLongWritesStayWhole) {
   // Writes over 32K span two blocks, which the message module assembles per
   // writing kproc: two writers on one conversation never mix their halves.
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   Dial();
   constexpr size_t kLen = 40'000;
   constexpr int kEach = 8;
@@ -263,7 +264,7 @@ TEST_F(IlTest, ConcurrentLongWritesStayWhole) {
 TEST_F(IlTest, ConnectToUnannouncedPortIsRefused) {
   // A sync nobody listens for is answered with a close: the dial fails in
   // one round trip, as TCP's does with RST, not after the sync ladder.
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   auto conv = ail_->Clone().take();
   auto start = std::chrono::steady_clock::now();
   ASSERT_TRUE(conv->Ctl("connect 135.104.9.6!999").ok());
@@ -274,7 +275,7 @@ TEST_F(IlTest, ConnectToUnannouncedPortIsRefused) {
 }
 
 TEST_F(IlTest, AdaptiveRttConverges) {
-  Build(LinkParams{.latency = std::chrono::microseconds(500)});
+  Build(LinkParams{.latency = std::chrono::microseconds(500), .faults = {}});
   Dial();
   for (int i = 0; i < 20; i++) {
     ASSERT_TRUE(client_conv_->Write(reinterpret_cast<const uint8_t*>("x"), 1).ok());
@@ -315,7 +316,7 @@ class TcpTest : public ::testing::Test {
 };
 
 TEST_F(TcpTest, ConnectTransfer) {
-  Build(LinkParams{.latency = std::chrono::microseconds(50)});
+  Build(LinkParams{.latency = std::chrono::microseconds(50), .faults = {}});
   Dial();
   ASSERT_TRUE(client_conv_->Write(reinterpret_cast<const uint8_t*>("GET /"), 5).ok());
   std::string got;
@@ -328,7 +329,7 @@ TEST_F(TcpTest, ConnectTransfer) {
 TEST_F(TcpTest, DoesNotPreserveDelimiters) {
   // "TCP ... does not preserve delimiters": two writes may arrive as one
   // read.  We only assert the byte stream is intact and ordered.
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   Dial();
   ASSERT_TRUE(client_conv_->Write(reinterpret_cast<const uint8_t*>("abc"), 3).ok());
   ASSERT_TRUE(client_conv_->Write(reinterpret_cast<const uint8_t*>("def"), 3).ok());
@@ -342,7 +343,7 @@ TEST_F(TcpTest, DoesNotPreserveDelimiters) {
 TEST_F(TcpTest, BulkTransferUnderLoss) {
   Build(LinkParams{.latency = std::chrono::microseconds(20),
                    .seed = 3,
-                   .faults = {.loss_good = 0.08}});
+                   .faults = {.loss_good = 0.08, .partitions = {}}});
   Dial();
   constexpr size_t kTotal = 200 * 1024;
   std::thread sender([&] {
@@ -376,7 +377,7 @@ TEST_F(TcpTest, BulkTransferUnderLoss) {
 }
 
 TEST_F(TcpTest, ConnectRefusedByRst) {
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   auto conv = atcp_->Clone().take();
   ASSERT_TRUE(conv->Ctl("connect 135.104.9.6!81").ok());
   auto status = conv->WaitReady();
@@ -385,7 +386,7 @@ TEST_F(TcpTest, ConnectRefusedByRst) {
 }
 
 TEST_F(TcpTest, GracefulCloseGivesEof) {
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   Dial();
   ASSERT_TRUE(client_conv_->Write(reinterpret_cast<const uint8_t*>("bye"), 3).ok());
   std::string got;
@@ -397,7 +398,7 @@ TEST_F(TcpTest, GracefulCloseGivesEof) {
 }
 
 TEST_F(TcpTest, StatusFileShape) {
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   Dial();
   auto status = static_cast<TcpConv*>(client_conv_)->StatusText();
   EXPECT_NE(status.find("Established"), std::string::npos);

@@ -7,6 +7,9 @@
 #include "src/ninep/ramfs.h"
 #include "src/ninep/server.h"
 #include "src/ninep/transport.h"
+#include "src/ns/namespace.h"
+#include "src/ns/proc.h"
+#include "src/obs/metrics.h"
 
 namespace plan9 {
 namespace {
@@ -242,6 +245,50 @@ TEST_F(ClientServerTest, ServerShutdownFailsPendingRpcs) {
   server_->Shutdown();
   uint32_t f = client_->AllocFid();
   EXPECT_FALSE(client_->CloneWalk(root, f, {"net"}).ok());
+}
+
+// One side of a 9P connection carried by two stream pipes, one per
+// direction.  A single pipe carrying traffic both ways holds each end's
+// stream chain lock while delivering into the other end, an order
+// ThreadSanitizer reports as an inversion.
+class PipePairTransport : public MsgTransport {
+ public:
+  PipePairTransport(std::unique_ptr<MsgTransport> in, std::unique_ptr<MsgTransport> out)
+      : in_(std::move(in)), out_(std::move(out)) {}
+  Result<Bytes> ReadMsg() override { return in_->ReadMsg(); }
+  Status WriteMsg(Bytes msg) override { return out_->WriteMsg(std::move(msg)); }
+  void Close() override {
+    in_->Close();
+    out_->Close();
+  }
+
+ private:
+  std::unique_ptr<MsgTransport> in_, out_;
+};
+
+TEST(NinepServerWorkers, EachRequestWakesOneIdleWorker) {
+  // The reader queues each request for one of the server's workers.  Waking
+  // the whole pool for each one would cost about 3 idle wakeups per RPC:
+  // one worker takes the request, the others find nothing and sleep again.
+  RamFs fs;
+  Proc proc(std::make_shared<Namespace>(&fs));
+  auto tx = proc.Pipe();  // client -> server
+  auto rx = proc.Pipe();  // server -> client
+  ASSERT_TRUE(tx.ok() && rx.ok());
+  NinepServer server(&fs, std::make_unique<PipePairTransport>(
+                              proc.TransportForFd(tx->second, true),
+                              proc.TransportForFd(rx->first, true)));
+  NinepClient client(std::make_unique<PipePairTransport>(
+      proc.TransportForFd(rx->second, true), proc.TransportForFd(tx->first, true)));
+  ASSERT_TRUE(client.Session().ok());
+  obs::Counter& idle =
+      obs::MetricsRegistry::Default().CounterNamed("ninep.srv.idle-wakeups");
+  uint64_t before = idle.value();
+  constexpr int kRpcs = 200;
+  for (int i = 0; i < kRpcs; i++) {
+    ASSERT_TRUE(client.Rpc(TnopMsg()).ok());
+  }
+  EXPECT_LE(idle.value() - before, static_cast<uint64_t>(kRpcs / 10));
 }
 
 TEST(FramedTransport, RoundTripsOverByteStream) {
